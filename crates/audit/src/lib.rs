@@ -165,7 +165,7 @@ pub fn audit(root: &Path) -> std::io::Result<AuditReport> {
 /// Renders the machine-readable JSON diagnostics document.
 #[must_use]
 pub fn render_json(report: &AuditReport, gated: &GatedReport) -> String {
-    use baseline::json::escape;
+    use baseline::quoted;
     use std::fmt::Write as _;
 
     let mut out = String::new();
@@ -189,12 +189,12 @@ pub fn render_json(report: &AuditReport, gated: &GatedReport) -> String {
             out,
             "\n    {{\"lint\": {}, \"layer\": {}, \"file\": {}, \"line\": {}, \
              \"status\": {}, \"message\": {}}}",
-            escape(d.lint),
-            escape(layer),
-            escape(&d.file),
+            quoted(d.lint),
+            quoted(layer),
+            quoted(&d.file),
             d.line,
-            escape(if f.baselined { "baselined" } else { "new" }),
-            escape(&d.message)
+            quoted(if f.baselined { "baselined" } else { "new" }),
+            quoted(&d.message)
         );
     }
     if !gated.findings.is_empty() {
@@ -207,7 +207,7 @@ pub fn render_json(report: &AuditReport, gated: &GatedReport) -> String {
         gated
             .stale_keys
             .iter()
-            .map(|k| escape(k))
+            .map(|k| quoted(k))
             .collect::<Vec<_>>()
             .join(", ")
     );

@@ -3,11 +3,10 @@
 //!
 //! Two claims are measured, never asserted:
 //!
-//! 1. **Kernel speedups.** Every widened kernel is timed against the naive
-//!    scalar loop it replaced (`dot_scalar`, per-row reference matvec,
-//!    plain SGD/gather loops). `dot_lanes` — the 8-independent-accumulator
-//!    variant that is *not* bit-compatible with the frozen reduction tree —
-//!    is included to quantify the price of determinism.
+//! 1. **Kernel speedups.** Every kernel is timed against its
+//!    bit-identical reference: `dot_ref` for `dot`, per-row `dot_ref` for
+//!    `matvec`, and plain collecting loops for the gathers. A kernel that
+//!    does not beat its reference has no reason to exist.
 //! 2. **Ingest memory.** A counting global allocator records the peak
 //!    allocation delta of materialized `read_csv` (grows with row count)
 //!    versus streaming `read_csv_chunked` into a bounded sink (grows with
@@ -40,7 +39,7 @@ use fairprep_data::chunked::{read_csv_chunked, ChunkStats};
 use fairprep_data::column::ColumnKind;
 use fairprep_data::csv::{read_csv, DEFAULT_MISSING_TOKENS};
 use fairprep_data::parallel::available_threads;
-use fairprep_ml::kernels::{dot, dot_lanes, dot_scalar, gather_vec, matvec_into, sgd_step};
+use fairprep_ml::kernels::{dot, dot_ref, gather_vec, matvec_into};
 use fairprep_ml::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,20 +143,15 @@ fn bench_kernels(n: usize, rng: &mut StdRng) -> Vec<KernelResult> {
         });
     };
 
-    // Reductions: the naive single-accumulator loop is the baseline the
-    // seed's scalar code paths would have used without ILP.
-    let scalar = median_secs(reps, || {
-        std::hint::black_box(dot_scalar(std::hint::black_box(&a), &b));
+    // Dot product against its scalar specification (same reduction tree).
+    let reference = median_secs(reps, || {
+        std::hint::black_box(dot_ref(std::hint::black_box(&a), &b));
     });
-    push("dot_scalar", "dot_scalar", scalar, scalar);
+    push("dot_ref", "dot_ref", reference, reference);
     let frozen = median_secs(reps, || {
         std::hint::black_box(dot(std::hint::black_box(&a), &b));
     });
-    push("dot", "dot_scalar", frozen, scalar);
-    let lanes = median_secs(reps, || {
-        std::hint::black_box(dot_lanes(std::hint::black_box(&a), &b));
-    });
-    push("dot_lanes", "dot_scalar", lanes, scalar);
+    push("dot", "dot_ref", frozen, reference);
 
     // Matrix–vector product: n elements as (n/16) rows x 16 cols.
     let cols = 16.min(n.max(1));
@@ -167,7 +161,7 @@ fn bench_kernels(n: usize, rng: &mut StdRng) -> Vec<KernelResult> {
     let mut out = vec![0.0; mrows];
     let ref_secs = median_secs(reps, || {
         for (r, slot) in out.iter_mut().enumerate() {
-            *slot = dot_scalar(&data[r * cols..(r + 1) * cols], w);
+            *slot = dot_ref(&data[r * cols..(r + 1) * cols], w);
         }
         std::hint::black_box(&out);
     });
@@ -177,22 +171,6 @@ fn bench_kernels(n: usize, rng: &mut StdRng) -> Vec<KernelResult> {
         std::hint::black_box(&out);
     });
     push("matvec", "matvec_ref", kern_secs, ref_secs);
-
-    // SGD update step over a full weight vector of length n.
-    let mut weights = vec![0.0_f64; n];
-    let sgd_ref_secs = median_secs(reps, || {
-        for (wj, xj) in weights.iter_mut().zip(&a) {
-            let grad = 0.25 * xj + 1e-4 * *wj;
-            *wj -= 0.1 * grad;
-        }
-        std::hint::black_box(&weights);
-    });
-    push("sgd_ref", "sgd_ref", sgd_ref_secs, sgd_ref_secs);
-    let sgd_secs = median_secs(reps, || {
-        sgd_step(&mut weights, std::hint::black_box(&a), 0.25, 0.1, 0.0, 1e-4);
-        std::hint::black_box(&weights);
-    });
-    push("sgd_step", "sgd_ref", sgd_secs, sgd_ref_secs);
 
     // Gathers: strided index pattern, old Vec-of-Vec collection as baseline.
     let idx: Vec<usize> = (0..n).map(|i| (i * 7919) % n.max(1)).collect();

@@ -1,0 +1,150 @@
+//! Schema checks for the kernel benchmark: a fresh quick-mode
+//! `bench_kernels` run, the committed full-scale `results/BENCH_kernels.json`,
+//! and the committed `results/BENCH_gridsearch.json`. A hand-edited results
+//! file, or a bench that stops timing a kernel against its reference,
+//! fails here.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+use fairprep_trace::json::{self, Value};
+
+/// Every remaining kernel, each next to its bit-identical reference.
+const REQUIRED_KERNELS: [&str; 8] = [
+    "dot_ref",
+    "dot",
+    "matvec_ref",
+    "matvec",
+    "gather_ref",
+    "gather",
+    "take_rows_ref",
+    "take_rows",
+];
+
+fn results_path(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../results")
+        .join(name)
+}
+
+fn load(path: &Path) -> Value {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+fn field<'a>(doc: &'a Value, key: &str, path: &Path) -> &'a Value {
+    doc.get(key)
+        .unwrap_or_else(|| panic!("{}: missing `{key}`", path.display()))
+}
+
+fn num(doc: &Value, key: &str, path: &Path) -> f64 {
+    field(doc, key, path)
+        .as_f64()
+        .unwrap_or_else(|| panic!("{}: `{key}` must be a number", path.display()))
+}
+
+fn array<'a>(doc: &'a Value, key: &str, path: &Path) -> &'a [Value] {
+    field(doc, key, path)
+        .as_array()
+        .unwrap_or_else(|| panic!("{}: `{key}` must be an array", path.display()))
+}
+
+/// `available_cores` must be a whole number; returns it.
+fn cores(doc: &Value, path: &Path) -> u64 {
+    field(doc, "available_cores", path)
+        .as_u64()
+        .unwrap_or_else(|| panic!("{}: available_cores must be an integer", path.display()))
+}
+
+fn check_kernels(path: &Path, committed: bool) {
+    let doc = load(path);
+    let p = path.display();
+    assert_eq!(field(&doc, "bench", path).as_str(), Some("kernels"), "{p}");
+    assert!(cores(&doc, path) >= 1, "{p}: available_cores must be >= 1");
+    let profile = field(&doc, "build_profile", path).as_str();
+    assert!(
+        matches!(profile, Some("debug" | "release")),
+        "{p}: build_profile {profile:?}"
+    );
+    if committed {
+        assert_eq!(
+            profile,
+            Some("release"),
+            "{p}: committed baselines must come from release builds"
+        );
+    }
+    let scales = array(&doc, "scales", path);
+    assert!(!scales.is_empty(), "{p}: at least one scale required");
+    for scale in scales {
+        assert!(num(scale, "rows", path) >= 1.0, "{p}: rows must be >= 1");
+        let kernels = array(scale, "kernels", path);
+        let names: Vec<&str> = kernels
+            .iter()
+            .filter_map(|k| k.get("name").and_then(Value::as_str))
+            .collect();
+        for required in REQUIRED_KERNELS {
+            assert!(names.contains(&required), "{p}: missing kernel {required}");
+        }
+        for k in kernels {
+            assert!(
+                num(k, "median_secs", path) > 0.0,
+                "{p}: median_secs must be > 0"
+            );
+            assert!(num(k, "speedup", path) > 0.0, "{p}: speedup must be > 0");
+        }
+        let ingest = field(scale, "ingest", path);
+        assert!(
+            num(ingest, "materialized_peak_bytes", path) > 0.0,
+            "{p}: materialized_peak_bytes must be > 0"
+        );
+        let chunks = array(ingest, "streaming", path);
+        assert!(chunks.len() >= 2, "{p}: at least two streaming chunk sizes");
+        // The bounded-memory claim: streaming peak is ordered by chunk
+        // size, independent of row count.
+        let peaks: Vec<f64> = chunks.iter().map(|c| num(c, "peak_bytes", path)).collect();
+        assert!(
+            peaks.windows(2).all(|w| w[0] <= w[1]),
+            "{p}: streaming peak not monotone in chunk size: {peaks:?}"
+        );
+    }
+}
+
+#[test]
+fn quick_bench_kernels_output_matches_schema() {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("bench_kernels_quick");
+    let status = Command::new(env!("CARGO_BIN_EXE_bench_kernels"))
+        .arg("--out")
+        .arg(&out)
+        .status()
+        .expect("bench_kernels runs");
+    assert!(status.success(), "bench_kernels exited with {status}");
+    check_kernels(&out.join("BENCH_kernels.json"), false);
+}
+
+#[test]
+fn committed_bench_kernels_matches_schema() {
+    check_kernels(&results_path("BENCH_kernels.json"), true);
+}
+
+#[test]
+fn committed_bench_gridsearch_matches_schema() {
+    let path = results_path("BENCH_gridsearch.json");
+    let doc = load(&path);
+    let p = path.display();
+    assert_eq!(
+        field(&doc, "bench", &path).as_str(),
+        Some("gridsearch"),
+        "{p}"
+    );
+    cores(&doc, &path);
+    assert_eq!(
+        field(&doc, "build_profile", &path).as_str(),
+        Some("release"),
+        "{p}: committed baselines must come from release builds"
+    );
+    assert!(
+        !array(&doc, "results", &path).is_empty(),
+        "{p}: gridsearch results must be non-empty"
+    );
+}

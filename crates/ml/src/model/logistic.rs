@@ -18,7 +18,6 @@ use fairprep_data::rng::component_rng;
 
 use fairprep_trace::json::{obj, Value};
 
-use crate::kernels::sgd_step;
 use crate::matrix::{dot, sigmoid, Matrix};
 use crate::model::{validate_training_inputs, Classifier, FittedClassifier};
 use crate::sealing;
@@ -184,9 +183,15 @@ impl Classifier for LogisticRegressionSgd {
                 let p = sigmoid(z);
                 // Gradient of the weighted log loss wrt z: weight * (p - y).
                 let g = weights[i] * (p - y[i]);
-                // Element-wise fused update; bit-identical to the former
-                // inline loop (see kernels::sgd_step's contract).
-                sgd_step(&mut w, row, g, eta, l1, l2);
+                // Element-wise, so the compiler is free to vectorize it
+                // without moving a bit.
+                for (wj, &xj) in w.iter_mut().zip(row) {
+                    let mut grad = g * xj + l2 * *wj;
+                    if l1 > 0.0 {
+                        grad += l1 * wj.signum();
+                    }
+                    *wj -= eta * grad;
+                }
                 if c.fit_intercept {
                     b -= eta * g;
                 }
@@ -386,6 +391,129 @@ mod tests {
             ..Default::default()
         });
         assert!(bad_epochs.fit(&x, &y, &w, 0).is_err());
+    }
+
+    /// Weight bits, then intercept bits, of one fit on a fixed 48×9
+    /// problem. Nine columns span one eight-lane block plus a tail, so the
+    /// pins would catch an unrolled update that drifts from the plain loop.
+    fn fit_bits(penalty: Penalty, fit_intercept: bool) -> Vec<u64> {
+        let rows: Vec<Vec<f64>> = (0..48)
+            .map(|i| {
+                (0..9)
+                    .map(|j| {
+                        (f64::from(i) * 0.618 + f64::from(j) * 0.414).sin()
+                            * (1.0 + f64::from(j) * 0.1)
+                    })
+                    .collect()
+            })
+            .collect();
+        let y: Vec<f64> = rows
+            .iter()
+            .map(|r| f64::from(u8::from(r[0] + 0.5 * r[3] - r[7] > 0.0)))
+            .collect();
+        let weights: Vec<f64> = (0..48).map(|i| 0.5 + f64::from(i % 3) * 0.5).collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let lr = LogisticRegressionSgd::new(LogisticRegressionConfig {
+            penalty,
+            alpha: 0.01,
+            max_epochs: 5,
+            fit_intercept,
+            ..Default::default()
+        });
+        let sealed = lr.fit(&x, &y, &weights, 17).unwrap().seal().unwrap();
+        let fitted = FittedLogisticRegression::unseal(&sealed).unwrap();
+        let mut bits: Vec<u64> = fitted.weights.iter().map(|w| w.to_bits()).collect();
+        bits.push(fitted.intercept.to_bits());
+        bits
+    }
+
+    /// Bit patterns (nine weights, then the intercept) of `fit_bits` per
+    /// penalty, without and with an intercept. L1 and elastic net take
+    /// the `signum` branch of the update; none and L2 skip it.
+    #[rustfmt::skip]
+    const PINNED_BITS: [(Penalty, [[u64; 10]; 2]); 4] = [
+        (Penalty::None, [
+            [
+                0x3fdfc3906b913ad1, 0x3fe1689989db9bb7, 0x3fdf6e34567dd762, 0x3fd532de313ad341,
+                0x3fb487bb3e45cc86, 0xbfccc81fec57ccc2, 0xbfe0fc80da607af9, 0xbfe8e4483cd676d4,
+                0xbfed262bfaecb1a1, 0x0000000000000000,
+            ],
+            [
+                0x3fdfd2f95c949de6, 0x3fe16f8904d4c40c, 0x3fdf776b7038f270, 0x3fd534c12c14e381,
+                0x3fb46b9ba28d24a9, 0xbfcce810aefa25d9, 0xbfe10814dc326727, 0xbfe8f1c1e64494d9,
+                0xbfed33457db5bf83, 0xbfb20857fd1f3b79,
+            ],
+        ]),
+        (Penalty::L1, [
+            [
+                0x3fdc628ca62fc206, 0x3fdfad6b47383886, 0x3fdc2b351f0a96e4, 0x3fd1864048492e8e,
+                0x3fa8435e852919cf, 0xbfc3ed5a4c7c00b0, 0xbfdeb1f2c2ad11d9, 0xbfe7bd5e344fe805,
+                0xbfec4a6da8508420, 0x0000000000000000,
+            ],
+            [
+                0x3fdc7232a78fc8a3, 0x3fdfbb39896f7f71, 0x3fdc3401952ec59a, 0x3fd187637822d634,
+                0x3fa88b2be4f35365, 0xbfc40f74364ba36b, 0xbfdeca14ebfbe386, 0xbfe7cb2e77a53a17,
+                0xbfec57a25bba52a9, 0xbfb125e44a79f192,
+            ],
+        ]),
+        (Penalty::L2, [
+            [
+                0x3fde9b41ae9775dc, 0x3fe0c7720910bd9a, 0x3fde4df69bfe9472, 0x3fd4740413ef4054,
+                0x3fb3e7808cafc37d, 0xbfcbacde3598f6ce, 0xbfe05b4e460105bf, 0xbfe7faee915637db,
+                0xbfec171cb32b3cf2, 0x0000000000000000,
+            ],
+            [
+                0x3fdeaa505507613c, 0x3fe0ce2b33659654, 0x3fde56c11247cd10, 0x3fd4758ff0d63d45,
+                0x3fb3caacc7fe60c1, 0xbfcbccb6a6de11b9, 0xbfe066bcab69a50d, 0xbfe80825f2c201f4,
+                0xbfec23e00540dc2e, 0xbfb1a11bd13244b6,
+            ],
+        ]),
+        (Penalty::ElasticNet { l1_ratio: 0.5 }, [
+            [
+                0x3fdd828847bdd803, 0x3fe050504c35e701, 0x3fdd3fd0f83ef6bb, 0x3fd302adfa17a9ed,
+                0x3faef2d7c4169db6, 0xbfc7dee79c21cfdd, 0xbfdfb729e1a91e72, 0xbfe7db14ce93fa1a,
+                0xbfec2e3bfa608510, 0x0000000000000000,
+            ],
+            [
+                0x3fdd91e55398a23c, 0x3fe057d41cc6fdb4, 0x3fdd4b66f060c7e2, 0x3fd307e625ed31ed,
+                0x3fae60816c3f30da, 0xbfc7f79a215f1a2f, 0xbfdfcb98b6525914, 0xbfe7e7f5a8bdb0f4,
+                0xbfec3bb565419c09, 0xbfb16559333c4cbe,
+            ],
+        ]),
+    ];
+
+    fn assert_pinned(penalty: Penalty) {
+        let (_, pins) = PINNED_BITS
+            .iter()
+            .find(|(p, _)| *p == penalty)
+            .expect("penalty has pins");
+        for (fit_intercept, expected) in [false, true].into_iter().zip(pins) {
+            assert_eq!(
+                &fit_bits(penalty, fit_intercept),
+                expected,
+                "penalty={penalty:?} fit_intercept={fit_intercept}"
+            );
+        }
+    }
+
+    #[test]
+    fn training_bits_are_pinned_without_penalty() {
+        assert_pinned(Penalty::None);
+    }
+
+    #[test]
+    fn training_bits_are_pinned_for_l1() {
+        assert_pinned(Penalty::L1);
+    }
+
+    #[test]
+    fn training_bits_are_pinned_for_l2() {
+        assert_pinned(Penalty::L2);
+    }
+
+    #[test]
+    fn training_bits_are_pinned_for_elastic_net() {
+        assert_pinned(Penalty::ElasticNet { l1_ratio: 0.5 });
     }
 
     #[test]

@@ -199,24 +199,6 @@ impl GridSearchCv {
         self
     }
 
-    /// Scores one candidate by k-fold cross-validation. Folds are derived
-    /// from `seed`, so every candidate sees identical folds.
-    pub fn score_candidate(
-        &self,
-        candidate: &dyn Classifier,
-        x: &Matrix,
-        y: &[f64],
-        weights: &[f64],
-        seed: u64,
-    ) -> Result<(f64, f64, Vec<f64>)> {
-        let cache = FoldCache::build(x, y, weights, self.k, seed)?;
-        let fold_scores = (0..cache.len())
-            .map(|fold| cache.score_fold(candidate, fold, seed))
-            .collect::<Result<Vec<f64>>>()?;
-        let (mean, std) = mean_std(&fold_scores);
-        Ok((mean, std, fold_scores))
-    }
-
     /// Runs the full search: CV-scores every candidate, picks the best mean
     /// accuracy (ties break to the earlier candidate for determinism; NaN
     /// ranks below everything), and refits the winner on all of
@@ -278,7 +260,7 @@ fn candidate_indices(candidates: &[Box<dyn Classifier>]) -> Vec<usize> {
 /// Scores the selected candidates against a shared fold cache, fanning the
 /// candidate×fold fit jobs across `threads` workers. Results are grouped
 /// back per candidate in `selected` order; the first job error (in
-/// submission order) aborts the search, matching the sequential path.
+/// submission order) aborts the search, matching a sequential run.
 fn score_candidates_on_cache(
     candidates: &[Box<dyn Classifier>],
     cache: &FoldCache,

@@ -192,7 +192,7 @@ impl Value {
 
 /// Writes a JSON string literal with the same escape set the parser
 /// understands (quotes, backslash, control characters).
-fn write_escaped(s: &str, out: &mut String) {
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
