@@ -68,6 +68,13 @@ use fairprep_trace::telemetry::{
 /// `413` before any allocation proportional to the claimed length.
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
+/// Longest request line or header line, terminator included. A longer
+/// line is refused with `431` after reading at most this many bytes.
+pub const MAX_HEAD_LINE_BYTES: usize = 8 * 1024;
+
+/// Most header lines one request may carry; more are refused with `431`.
+pub const MAX_HEADERS: usize = 100;
+
 /// Shards per sharded counter/histogram. Workers beyond this wrap
 /// around; 16 covers every thread budget the serve CLI accepts without
 /// paying unbounded per-pipeline memory.
@@ -531,9 +538,8 @@ impl PipeTelemetry {
             // An empty window has no latency distribution: report
             // `None` (JSON null, omitted Prometheus samples) instead of
             // a fake zero indistinguishable from zero-latency traffic.
-            let percentile = |q: f64| {
-                (!latencies.is_empty()).then(|| percentile_of_sorted(&latencies, q))
-            };
+            let percentile =
+                |q: f64| (!latencies.is_empty()).then(|| percentile_of_sorted(&latencies, q));
             WindowSnapshot {
                 requests: latencies.len() as u64,
                 p50_us: percentile(0.50),
@@ -1142,7 +1148,12 @@ fn alert_value(telemetry: &PipeTelemetry, armed: &ArmedAlert) -> Option<f64> {
 }
 
 /// The canonical JSONL `alert` event (also the webhook payload body).
-fn alert_event_value(fingerprint: &str, armed: &ArmedAlert, transition: Transition, value: Option<f64>) -> Value {
+fn alert_event_value(
+    fingerprint: &str,
+    armed: &ArmedAlert,
+    transition: Transition,
+    value: Option<f64>,
+) -> Value {
     let mut members = vec![
         ("event", Value::Str("alert".to_string())),
         ("name", Value::Str(armed.spec.name.clone())),
@@ -1289,7 +1300,9 @@ fn post_webhook(authority: &str, path: &str, payload: &str) -> Result<(), String
         "POST {path} HTTP/1.1\r\nHost: {authority}\r\nContent-Type: {JSON_CONTENT_TYPE}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         payload.len()
     );
-    stream.write_all(head.as_bytes()).map_err(|e| e.to_string())?;
+    stream
+        .write_all(head.as_bytes())
+        .map_err(|e| e.to_string())?;
     stream
         .write_all(payload.as_bytes())
         .map_err(|e| e.to_string())?;
@@ -1844,18 +1857,32 @@ fn status_text(code: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     }
+}
+
+/// Reads one request or header line of at most [`MAX_HEAD_LINE_BYTES`]
+/// (terminator included) through `Read::take`, so an endless line costs
+/// the server a bounded buffer and a `431`.
+fn read_head_line(reader: &mut impl BufRead, what: &str) -> Result<String, (u16, String)> {
+    let mut raw = Vec::new();
+    reader
+        .by_ref()
+        .take(MAX_HEAD_LINE_BYTES as u64)
+        .read_until(b'\n', &mut raw)
+        .map_err(|e| (400, format!("unreadable {what}: {e}")))?;
+    if raw.len() == MAX_HEAD_LINE_BYTES && raw.last() != Some(&b'\n') {
+        return Err((431, format!("{what} exceeds {MAX_HEAD_LINE_BYTES} bytes")));
+    }
+    String::from_utf8(raw).map_err(|_| (400, format!("{what} is not valid UTF-8")))
 }
 
 /// Reads one request off the stream. Returns `Err((status, message))`
 /// on malformed input so the caller can answer with a typed error.
 fn read_request(stream: &mut TcpStream) -> Result<Request, (u16, String)> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| (400, format!("unreadable request line: {e}")))?;
+    let line = read_head_line(&mut reader, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -1868,13 +1895,15 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, (u16, String)> {
 
     let mut content_length = 0usize;
     let mut accept = String::new();
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        let n = reader
-            .read_line(&mut header)
-            .map_err(|e| (400, format!("unreadable header: {e}")))?;
-        if n == 0 || header.trim().is_empty() {
+        let header = read_head_line(&mut reader, "header")?;
+        if header.trim().is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err((431, format!("more than {MAX_HEADERS} headers")));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -1903,18 +1932,18 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, (u16, String)> {
     })
 }
 
-/// Writes one `Connection: close` response with the given content type.
+/// Writes one `Connection: close` response with the given content type,
+/// head and body in a single `write_all`.
 fn write_response(stream: &mut TcpStream, code: u16, content_type: &str, body: &str) {
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {code} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         status_text(code),
         body.len()
     );
+    response.push_str(body);
     // A peer that hung up mid-response is its own problem; the server
     // must not die for it.
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
+    let _ = stream.write_all(response.as_bytes());
 }
 
 fn error_body(message: &str) -> String {
@@ -1945,7 +1974,8 @@ fn handle_connection(
     let started = Instant::now();
     let id = registry.next_id();
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_nonblocking(false);
+    // Each response is one write; do not hold its tail back for an ACK.
+    let _ = stream.set_nodelay(true);
     let request = read_request(&mut stream);
     let read_us = micros_since(started);
     match request {
@@ -2083,36 +2113,29 @@ impl Server {
         &self.registry
     }
 
-    /// Flag that makes every worker exit its accept loop when set.
-    #[must_use]
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
     /// Runs `threads` accept workers until the stop flag is raised.
     ///
-    /// The listener is switched to non-blocking and shared by every
-    /// worker (`TcpListener::accept` takes `&self`); the kernel hands
-    /// each incoming connection to exactly one of them, and the worker's
+    /// Every worker blocks in `accept` on the shared listener
+    /// (`TcpListener::accept` takes `&self`); the kernel hands each
+    /// incoming connection to exactly one of them, and the worker's
     /// index routes telemetry onto that worker's private metric shards.
-    /// `WouldBlock` backs off briefly so an idle server stays cheap.
+    /// A worker that accepts a connection after the stop flag is raised
+    /// drops it and exits, so [`ServerHandle`] stops the pool by raising
+    /// the flag and connecting once per worker. A failed `accept` (e.g.
+    /// `EMFILE`) backs off briefly so the loop cannot spin.
     pub fn serve_blocking(&self, threads: usize) -> Result<(), String> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| e.to_string())?;
         let registry = &self.registry;
         let stop = &self.stop;
         let listener = &self.listener;
         let access_log = self.access_log.as_ref();
-        scoped_workers(threads.max(1), |worker| {
-            while !stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => handle_connection(stream, registry, worker, access_log),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(2)),
-                }
+        scoped_workers(threads.max(1), |worker| loop {
+            let accepted = listener.accept();
+            if stop.load(Ordering::Acquire) {
+                break;
+            }
+            match accepted {
+                Ok((stream, _peer)) => handle_connection(stream, registry, worker, access_log),
+                Err(_) => std::thread::sleep(Duration::from_millis(2)),
             }
         });
         Ok(())
@@ -2125,6 +2148,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     registry: Arc<Registry>,
     stop: Arc<AtomicBool>,
+    workers: usize,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -2147,7 +2171,7 @@ impl ServerHandle {
             server = server.with_access_log(path, sample_rate)?;
         }
         let addr = server.local_addr()?;
-        let stop = server.stop_flag();
+        let stop = Arc::clone(&server.stop);
         let registry = Arc::clone(&server.registry);
         let join = std::thread::spawn(move || {
             let _ = server.serve_blocking(threads);
@@ -2156,6 +2180,7 @@ impl ServerHandle {
             addr,
             registry,
             stop,
+            workers: threads.max(1),
             join: Some(join),
         })
     }
@@ -2172,13 +2197,21 @@ impl ServerHandle {
         &self.registry
     }
 
-    /// Raises the stop flag and joins the serving thread.
+    /// Raises the stop flag, wakes every worker blocked in `accept`,
+    /// and joins the serving thread.
     pub fn stop(mut self) {
         self.shutdown();
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        // Release pairs with each worker's Acquire load once `accept`
+        // returns, so a worker woken below sees the raised flag.
+        self.stop.store(true, Ordering::Release);
+        for _ in 0..self.workers {
+            // Each connection releases one blocked `accept`; its worker
+            // sees the flag, drops the connection, and exits.
+            let _ = TcpStream::connect(self.addr);
+        }
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }

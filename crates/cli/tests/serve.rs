@@ -1,12 +1,20 @@
 //! Integration tests of the scoring service: endpoint behavior, typed
-//! errors, concurrency (N hammering clients reproduce the sequential
-//! replay byte-for-byte), and `/metrics` semantics — decision rates by
-//! protected group and PSI drift against the sealed training profile.
+//! errors, request-head caps, shutdown of idle and busy worker pools,
+//! concurrency (N hammering clients reproduce the sequential replay
+//! byte-for-byte), `/metrics` semantics — decision rates by protected
+//! group and PSI drift against the sealed training profile — and the
+//! `fairprep serve` binary end to end.
 
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
+use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 use fairprep_cli::golden::{golden_bodies, golden_pipeline};
-use fairprep_cli::serve::{http_request, Registry, ServerHandle};
+use fairprep_cli::serve::{http_request, Registry, ServerHandle, MAX_HEADERS, MAX_HEAD_LINE_BYTES};
 use fairprep_trace::json::{parse, Value};
 
 /// One fitted german pipeline shared by every test in this file (the
@@ -20,12 +28,19 @@ fn german() -> &'static (fairprep_core::seal::SealedPipeline, Vec<String>) {
     })
 }
 
+/// A scratch directory no other test in this process uses.
+fn scratch_dir(stem: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "fairprep_serve_test_{stem}_{}_{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 fn spawn_german(threads: usize) -> (ServerHandle, String) {
     let (sealed, _) = german();
-    let dir = std::env::temp_dir().join(format!(
-        "fairprep_serve_test_{}_{threads}",
-        std::process::id()
-    ));
+    let dir = scratch_dir("registry");
     let path = sealed.save(&dir).unwrap();
     let registry = Registry::open(&dir).unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -102,6 +117,144 @@ fn malformed_bodies_are_400_and_counted() {
     };
     assert_eq!(pipe.get("errors").and_then(Value::as_u64_any), Some(4));
     server.stop();
+}
+
+/// Sends `request` verbatim on a fresh connection and returns every byte
+/// the server answers before it closes. A server that refuses a request
+/// it has not read to the end may reset the connection after its
+/// response, so a read error ends the exchange like EOF does.
+fn raw_exchange(addr: SocketAddr, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(request).unwrap();
+    let mut response = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while let Ok(n) = stream.read(&mut chunk) {
+        if n == 0 {
+            break;
+        }
+        response.extend_from_slice(&chunk[..n]);
+    }
+    String::from_utf8(response).unwrap()
+}
+
+/// A `GET /healthz` request head carrying `headers` verbatim.
+fn healthz_with(headers: &str) -> String {
+    format!("GET /healthz HTTP/1.1\r\nHost: test\r\n{headers}\r\n")
+}
+
+/// `count` distinct header lines.
+fn header_lines(count: usize) -> String {
+    (0..count).map(|i| format!("X-Filler-{i}: v\r\n")).collect()
+}
+
+/// A header line of exactly `len` bytes, CRLF included.
+fn header_line_of(len: usize) -> String {
+    let prefix = "X-Long: ";
+    format!("{prefix}{}\r\n", "a".repeat(len - prefix.len() - 2))
+}
+
+/// Request heads are capped per line and per header count: one byte
+/// past either cap is a typed JSON `431`, the caps themselves are
+/// served, and the server keeps answering afterwards.
+#[test]
+fn oversized_request_heads_get_typed_431s() {
+    let (server, _) = spawn_german(1);
+    let addr = server.addr();
+    // Host plus MAX_HEADERS - 1 fillers is exactly MAX_HEADERS headers.
+    let at_limit = [
+        healthz_with(&header_line_of(MAX_HEAD_LINE_BYTES)),
+        healthz_with(&header_lines(MAX_HEADERS - 1)),
+    ];
+    for request in &at_limit {
+        let response = raw_exchange(addr, request.as_bytes());
+        assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+    }
+    let over_limit = [
+        healthz_with(&header_line_of(MAX_HEAD_LINE_BYTES + 1)),
+        healthz_with(&header_lines(MAX_HEADERS)),
+        format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEAD_LINE_BYTES)),
+    ];
+    for request in &over_limit {
+        let response = raw_exchange(addr, request.as_bytes());
+        let (head, body) = response.split_once("\r\n\r\n").unwrap();
+        assert!(
+            head.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{head}"
+        );
+        assert!(
+            head.contains("\r\nContent-Type: application/json\r\n"),
+            "{head}"
+        );
+        assert!(parse(body).unwrap().get("error").is_some(), "{body}");
+    }
+    let (status, body) = http_request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    server.stop();
+}
+
+/// Runs `finish` (a stop or a drop) on a watchdog thread and fails the
+/// test if it has not returned within 10 s, so a broken wake-up fails
+/// instead of hanging the suite.
+fn returns_promptly(what: &str, finish: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        finish();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{what} did not return within 10 s"));
+}
+
+/// Once the server has shut down, its port refuses connections.
+fn assert_closed(addr: SocketAddr) {
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "{addr} still accepts connections after shutdown"
+    );
+}
+
+#[test]
+fn stop_wakes_every_worker_idle_in_accept() {
+    for threads in [1, 2, 8] {
+        let (server, _) = spawn_german(threads);
+        let addr = server.addr();
+        // Give every worker time to block in `accept`. No signal shows a
+        // worker parked there; a worker that has not reached `accept` yet
+        // takes the same exit, so the sleep only makes the idle case the
+        // likely one.
+        std::thread::sleep(Duration::from_millis(50));
+        returns_promptly(
+            &format!("stop() with {threads} idle worker(s)"),
+            move || {
+                server.stop();
+            },
+        );
+        assert_closed(addr);
+    }
+}
+
+#[test]
+fn stop_returns_right_after_a_served_request() {
+    let (server, _) = spawn_german(2);
+    let addr = server.addr();
+    let (status, body) = http_request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    returns_promptly("stop() after a request", move || server.stop());
+    assert_closed(addr);
+}
+
+#[test]
+fn dropping_the_handle_shuts_the_server_down() {
+    let (server, _) = spawn_german(2);
+    let addr = server.addr();
+    let (status, body) = http_request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    returns_promptly("dropping the handle", move || drop(server));
+    assert_closed(addr);
 }
 
 /// The core concurrency claim: many clients hammering `/predict` from
@@ -409,4 +562,124 @@ fn row_body(data: &fairprep_data::dataset::BinaryLabelDataset, i: usize) -> Stri
         })
         .collect();
     obj(vec![("row", obj(members))]).to_json()
+}
+
+/// Kills the child server when the test ends, pass or fail.
+struct Killed(std::process::Child);
+
+impl Drop for Killed {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The `fairprep` binary end to end: a pipeline sealed by `fairprep run`
+/// is served by `fairprep serve --port 0`, answers every committed
+/// golden german request body, and shows live decision rates and drift
+/// tracking in `/metrics`.
+#[test]
+fn cli_serves_a_sealed_pipeline_over_http() {
+    let exe = env!("CARGO_BIN_EXE_fairprep");
+    let registry = scratch_dir("cli_registry");
+    let status = Command::new(exe)
+        .args([
+            "run",
+            "--dataset",
+            "german",
+            "--rows",
+            "150",
+            "--learner",
+            "dt",
+        ])
+        .args(["--seed", "7", "--seal"])
+        .arg(&registry)
+        .stdout(Stdio::null())
+        .status()
+        .unwrap();
+    assert!(status.success(), "fairprep run --seal exited with {status}");
+    let artifacts: Vec<_> = std::fs::read_dir(&registry)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    assert_eq!(artifacts.len(), 1, "{artifacts:?}");
+    let fingerprint = artifacts[0].file_stem().unwrap().to_str().unwrap();
+
+    let mut child = Command::new(exe)
+        .args(["serve", "--port", "0", "--threads", "2", "--registry"])
+        .arg(&registry)
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Held to the end: the server prints its routes after the address
+    // line and must not meet a closed pipe.
+    let mut stdout = BufReader::new(child.stdout.take().unwrap()).lines();
+    let server = Killed(child);
+    let addr: SocketAddr = stdout
+        .by_ref()
+        .find_map(|line| {
+            let line = line.unwrap();
+            line.split_once(" on http://")
+                .map(|(_, addr)| addr.trim().parse().unwrap())
+        })
+        .expect("fairprep serve prints `serving ... on http://ADDR`");
+
+    let healthy = (0..100).any(|_| {
+        let ok = matches!(http_request(addr, "GET", "/healthz", None), Ok((200, _)));
+        if !ok {
+            std::thread::sleep(Duration::from_millis(200));
+        }
+        ok
+    });
+    assert!(healthy, "server never became healthy");
+
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden_serve/german.json");
+    let golden = parse(&std::fs::read_to_string(golden).unwrap()).unwrap();
+    let bodies: Vec<&str> = golden
+        .get("requests")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|request| request.get("body").and_then(Value::as_str).unwrap())
+        .collect();
+    let path = format!("/predict/{fingerprint}");
+    for _ in 0..5 {
+        for body in &bodies {
+            let (status, response) = http_request(addr, "POST", &path, Some(body)).unwrap();
+            assert_eq!(status, 200, "{response}");
+        }
+    }
+
+    let (status, metrics) = http_request(addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200, "{metrics}");
+    let doc = parse(&metrics).unwrap();
+    let pipe = match doc.get("pipelines") {
+        Some(Value::Obj(members)) if members.len() == 1 => members[0].1.clone(),
+        other => panic!("expected exactly one pipeline: {other:?}"),
+    };
+    assert!(
+        pipe.get("requests").and_then(Value::as_u64_any).unwrap() > 0,
+        "{metrics}"
+    );
+    assert_eq!(
+        pipe.get("errors").and_then(Value::as_u64_any),
+        Some(0),
+        "{metrics}"
+    );
+    let decisions = pipe.get("decisions").unwrap();
+    for rate in ["privileged_rate", "unprivileged_rate"] {
+        let value = decisions.get(rate).and_then(Value::as_f64);
+        assert!(
+            value.is_some_and(|v| v > 0.0),
+            "{rate} must be nonzero: {metrics}"
+        );
+    }
+    let drift = pipe.get("drift").and_then(Value::as_array).unwrap();
+    assert!(
+        !drift.is_empty(),
+        "drift tracking must cover at least one column"
+    );
+    drop(server);
+    std::fs::remove_dir_all(&registry).ok();
 }
