@@ -1,27 +1,7 @@
-//! Known-bad L2 fixtures: nondeterminism sources in seeded code.
-
-use std::collections::{HashMap, HashSet};
-use std::time::Instant;
-
-fn count_groups(labels: &[String]) -> HashMap<String, usize> {
-    // BAD: HashMap iteration order varies run to run.
-    let mut counts = HashMap::new();
-    for l in labels {
-        *counts.entry(l.clone()).or_insert(0) += 1;
-    }
-    counts
-}
-
-fn dedupe(xs: &[u32]) -> HashSet<u32> {
-    // BAD: HashSet.
-    xs.iter().copied().collect()
-}
-
-fn parallel_sum(xs: Vec<f64>) -> f64 {
-    // BAD: ad-hoc thread outside data::parallel.
-    let handle = std::thread::spawn(move || xs.iter().sum::<f64>());
-    handle.join().unwrap_or(0.0)
-}
+//! Known-bad L2 fixtures: exact float comparisons in seeded code.
+//!
+//! Hash collections, ad-hoc threads and clock reads are banned by clippy's
+//! `disallowed_types` and `disallowed_methods` instead (see clippy.toml).
 
 fn converged(loss: f64) -> bool {
     // BAD: exact float comparison.
@@ -31,9 +11,4 @@ fn converged(loss: f64) -> bool {
 fn changed(delta: f64) -> bool {
     // BAD: exact float inequality.
     delta != 0.0
-}
-
-fn time_seed() -> u64 {
-    // BAD: wall-clock read in a library path.
-    Instant::now().elapsed().as_nanos() as u64
 }

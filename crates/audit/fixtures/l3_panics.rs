@@ -1,25 +1,11 @@
 //! Known-bad L3 fixtures: panic paths in library code.
+//!
+//! `unwrap`, `expect` and `panic!` are caught by clippy's `unwrap_used`,
+//! `expect_used` and `panic` instead.
 
 fn first(xs: &[f64]) -> f64 {
     // BAD: literal index panics on empty input.
     xs[0]
-}
-
-fn head(xs: &[f64]) -> f64 {
-    // BAD: unwrap in library code.
-    *xs.first().unwrap()
-}
-
-fn label(opt: Option<&str>) -> String {
-    // BAD: expect in library code.
-    opt.expect("label must be present").to_string()
-}
-
-fn validate(n: usize) {
-    if n == 0 {
-        // BAD: panic! in library code.
-        panic!("empty input");
-    }
 }
 
 #[cfg(test)]
@@ -28,7 +14,6 @@ mod tests {
     #[test]
     fn t() {
         let xs = [1.0];
-        assert_eq!(xs[0], super::head(&xs));
-        None::<u8>.unwrap();
+        assert_eq!(xs[0], super::first(&xs));
     }
 }

@@ -1,19 +1,19 @@
 //! Lexer edge cases as an executable fixture: every lint trigger below
 //! sits inside a raw string, byte string, nested block comment, or char
 //! literal, so a correct lexer reports exactly ONE violation in this
-//! file — the real `.unwrap()` at the end — at exactly the right line,
+//! file — the real `bytes[0]` at the end — at exactly the right line,
 //! even after multi-line literals.
 
 fn raw_string_is_opaque() -> &'static str {
-    r#"x.unwrap(); model.fit(test_frame); std::thread::spawn"#
+    r#"x[0]; model.fit(test_frame); y == 0.5"#
 }
 
 fn raw_hash_string_is_opaque() -> &'static str {
-    r##"nested "quote # inside" y.expect("no") HashMap"##
+    r##"nested "quote # inside" y[1] impl TestSetVault"##
 }
 
 fn byte_string_is_opaque() -> &'static [u8] {
-    b"panic!(\"no\") vault.row(0) Instant::now()"
+    b"q[2] != 1.5 vault.fit(0)"
 }
 
 fn raw_byte_string_is_opaque() -> &'static [u8] {
@@ -22,18 +22,18 @@ fn raw_byte_string_is_opaque() -> &'static [u8] {
 
 fn multiline_raw_keeps_line_numbers() -> &'static str {
     r#"line one
-z.unwrap()
+z[3]
 line three"#
 }
 
-/* outer comment /* nested: q.unwrap() and panic!("x") */ still inside
-   the outer comment, so still inert: w.expect("no") */
+/* outer comment /* nested: q[4] and model.fit(holdout) */ still inside
+   the outer comment, so still inert: w == 2.5 */
 
 fn lifetime_is_not_a_char_literal(c: char) -> bool {
     let held: Option<&'static str> = None;
     c == 'a' && held.is_none()
 }
 
-fn the_one_real_violation(o: Option<u8>) -> u8 {
-    o.unwrap()
+fn the_one_real_violation(bytes: &[u8]) -> u8 {
+    bytes[0]
 }

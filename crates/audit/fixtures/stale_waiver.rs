@@ -2,9 +2,9 @@
 //! is honoured silently; one whose lint no longer fires is itself
 //! reported, so the suppression ledger cannot rot.
 
-fn used_waiver(o: Option<u8>) -> u8 {
-    // audit: allow(unwrap, reason = "fixture: demonstrates a waiver doing real work")
-    o.unwrap()
+fn used_waiver(xs: &[u8]) -> u8 {
+    // audit: allow(index-literal, reason = "fixture: demonstrates a waiver doing real work")
+    xs[0]
 }
 
 // audit: allow(float-eq, reason = "fixture: the comparison this covered was deleted")

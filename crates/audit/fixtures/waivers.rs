@@ -3,11 +3,11 @@
 
 fn reasonless(xs: &[f64]) -> f64 {
     // BAD: waiver without a reason is fatal and suppresses nothing.
-    // audit: allow(unwrap)
-    *xs.first().unwrap()
+    // audit: allow(index-literal)
+    xs[0]
 }
 
 fn justified(xs: &[f64]) -> f64 {
-    // audit: allow(unwrap, reason = "caller guarantees a non-empty slice in this fixture")
-    *xs.first().unwrap()
+    // audit: allow(index-literal, reason = "caller guarantees a non-empty slice in this fixture")
+    xs[0]
 }

@@ -225,14 +225,14 @@ mod tests {
     #[test]
     fn capture_and_roundtrip() {
         let diags = vec![
-            diag("a.rs", "unwrap", 3),
-            diag("a.rs", "unwrap", 9),
-            diag("b.rs", "panic", 1),
+            diag("a.rs", "index-literal", 3),
+            diag("a.rs", "index-literal", 9),
+            diag("b.rs", "float-eq", 1),
             diag("b.rs", "waiver-syntax", 2), // meta: never baselined
         ];
         let base = Baseline::capture(&diags);
-        assert_eq!(base.entries.get("a.rs:unwrap"), Some(&2));
-        assert_eq!(base.entries.get("b.rs:panic"), Some(&1));
+        assert_eq!(base.entries.get("a.rs:index-literal"), Some(&2));
+        assert_eq!(base.entries.get("b.rs:float-eq"), Some(&1));
         assert!(!base.entries.contains_key("b.rs:waiver-syntax"));
         let parsed = Baseline::parse(&base.to_json()).expect("roundtrip");
         assert_eq!(parsed, base);
@@ -241,8 +241,11 @@ mod tests {
     #[test]
     fn gate_absorbs_first_n_and_flags_surplus() {
         let mut base = Baseline::default();
-        base.entries.insert("a.rs:unwrap".to_string(), 1);
-        let diags = vec![diag("a.rs", "unwrap", 3), diag("a.rs", "unwrap", 9)];
+        base.entries.insert("a.rs:index-literal".to_string(), 1);
+        let diags = vec![
+            diag("a.rs", "index-literal", 3),
+            diag("a.rs", "index-literal", 9),
+        ];
         let gated = base.gate(&diags);
         assert_eq!(gated.baselined_count(), 1);
         assert_eq!(gated.new_count(), 1);
@@ -254,7 +257,7 @@ mod tests {
     #[test]
     fn gate_reports_stale_keys_and_never_absorbs_meta() {
         let mut base = Baseline::default();
-        base.entries.insert("gone.rs:unwrap".to_string(), 2);
+        base.entries.insert("gone.rs:index-literal".to_string(), 2);
         base.entries.insert("a.rs:waiver-syntax".to_string(), 1);
         let diags = vec![diag("a.rs", "waiver-syntax", 2)];
         let gated = base.gate(&diags);
@@ -263,7 +266,7 @@ mod tests {
             gated.stale_keys,
             vec![
                 "a.rs:waiver-syntax".to_string(),
-                "gone.rs:unwrap".to_string()
+                "gone.rs:index-literal".to_string()
             ]
         );
     }

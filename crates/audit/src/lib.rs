@@ -5,9 +5,10 @@
 //! a small lossless lexer:
 //!
 //! 1. **Token lints** over the significant-token stream — L1 isolation
-//!    (`fit-on-test`, `vault-row-leak`), L2 determinism (`hash-iter`,
-//!    `thread-spawn`, `float-eq`, `wall-clock`), L3 panic hygiene
-//!    (`unwrap`/`expect`/`panic`/`index-literal`).
+//!    (`fit-on-test`, `vault-row-leak`), L2 determinism (`float-eq`), L3
+//!    panic hygiene (`index-literal`). Hash collections, thread spawns,
+//!    clock reads and `unwrap`/`expect`/`panic!` are clippy lints, denied
+//!    for the library crates in the root `Cargo.toml`.
 //! 2. **Dataflow** over a brace-matched lightweight AST and workspace
 //!    call graph — `test-taint-flow` (static provenance taint from
 //!    test-split sources to fit sinks) and `missing-guard-fit`
@@ -25,7 +26,6 @@
 //! repo root, or `fairprep audit` via the CLI.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod baseline;
 pub mod conc;

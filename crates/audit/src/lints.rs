@@ -5,10 +5,13 @@
 //!
 //! * **L1 isolation** — nothing fits on held-out data, and the vault never
 //!   grows a row-level accessor.
-//! * **L2 nondeterminism** — no iteration-order, scheduling, or wall-clock
-//!   dependence in seeded code paths.
-//! * **L3 panic hygiene** — library code returns `Result` instead of
-//!   panicking.
+//! * **L2 nondeterminism** — no exact float comparison against a literal in
+//!   seeded code paths.
+//! * **L3 panic hygiene** — library code does not index by a literal.
+//!
+//! The rest of L2 and L3 (hash collections, thread spawns, clock reads,
+//! `unwrap`/`expect`/`panic!`) is clippy's job: the root `Cargo.toml`
+//! denies those lints for every library crate.
 //!
 //! Every lint honours the inline waiver comment
 //! `// audit: allow(<lint>, reason = "…")`, which silences the lint on the
@@ -47,40 +50,9 @@ pub const LINTS: &[Lint] = &[
         rationale: "TestSetVault must not expose public row-level accessors",
     },
     Lint {
-        id: "hash-iter",
-        layer: "L2",
-        rationale: "HashMap/HashSet iteration order is nondeterministic; seeded crates \
-                    must use BTreeMap/BTreeSet",
-    },
-    Lint {
-        id: "thread-spawn",
-        layer: "L2",
-        rationale: "ad-hoc threads break run reproducibility; use data::parallel",
-    },
-    Lint {
         id: "float-eq",
         layer: "L2",
         rationale: "direct f64/f32 ==/!= comparisons are brittle under reordering",
-    },
-    Lint {
-        id: "wall-clock",
-        layer: "L2",
-        rationale: "Instant/SystemTime reads make library behaviour time-dependent",
-    },
-    Lint {
-        id: "unwrap",
-        layer: "L3",
-        rationale: "library code must propagate errors, not panic",
-    },
-    Lint {
-        id: "expect",
-        layer: "L3",
-        rationale: "library code must propagate errors, not panic",
-    },
-    Lint {
-        id: "panic",
-        layer: "L3",
-        rationale: "library code must propagate errors, not panic",
     },
     Lint {
         id: "index-literal",
@@ -146,14 +118,11 @@ pub fn is_known_lint(id: &str) -> bool {
 pub enum FileScope {
     /// Shim crates and generated output: not ours to lint.
     Excluded,
-    /// Binaries, benches, examples: isolation (L1) only — panics and
-    /// wall-clock reads are fine at the edges.
+    /// Binaries, benches, examples: isolation (L1) only — panics are fine
+    /// at the edges.
     Binary,
-    /// Library crates outside the seeded pipeline (datasets, facade):
-    /// L1 + L3 + float-eq + wall-clock.
-    Library,
-    /// The seeded pipeline crates (data, ml, core, impute, fairness):
-    /// everything, including hash-iter and thread-spawn.
+    /// The library crates (data, ml, core, impute, fairness, trace,
+    /// datasets, the root facade) and unknown trees: every lint.
     SeededLibrary,
     /// Integration-test trees: deliberately exercise failure paths, so no
     /// lints apply (waiver syntax is still checked).
@@ -179,7 +148,6 @@ impl FileScope {
                     | "waiver-syntax"
                     | "stale-waiver"
             ),
-            FileScope::Library => !matches!(lint, "hash-iter" | "thread-spawn"),
             FileScope::SeededLibrary => true,
         }
     }
@@ -199,6 +167,7 @@ pub fn classify(rel_path: &str) -> FileScope {
     if p.starts_with("crates/cli/")
         || p.starts_with("crates/bench/")
         || p.starts_with("crates/audit/")
+        || p.starts_with("perfbench/")
         || p.starts_with("examples/")
         || p.contains("/examples/")
         || p.contains("/benches/")
@@ -208,22 +177,8 @@ pub fn classify(rel_path: &str) -> FileScope {
     if p.starts_with("tests/") || p.contains("/tests/") {
         return FileScope::TestCode;
     }
-    if p.starts_with("crates/data/")
-        || p.starts_with("crates/ml/")
-        || p.starts_with("crates/core/")
-        || p.starts_with("crates/impute/")
-        || p.starts_with("crates/fairness/")
-        // The tracer is pipeline code too; its wall-clock carve-out is a
-        // per-path exemption at the lint gate, not a scope relaxation.
-        || p.starts_with("crates/trace/")
-    {
-        return FileScope::SeededLibrary;
-    }
-    if p.starts_with("crates/datasets/") || p.starts_with("src/") {
-        return FileScope::Library;
-    }
-    // Unknown trees (e.g. the lint fixtures when rooted there) get the
-    // strictest treatment.
+    // The library crates, the root facade, and unknown trees (e.g. the
+    // lint fixtures when rooted there) get the strictest treatment.
     FileScope::SeededLibrary
 }
 
@@ -345,31 +300,8 @@ pub(crate) fn token_lints(analysis: &FileAnalysis<'_>, raw: &mut Vec<Diagnostic>
     if scope.lint_applies("vault-row-leak") {
         check_vault_row_leak(&ctx, raw);
     }
-    if scope.lint_applies("hash-iter") {
-        check_hash_iter(&ctx, raw);
-    }
-    if scope.lint_applies("thread-spawn") && !rel_path.ends_with("data/src/parallel.rs") {
-        check_thread_spawn(&ctx, raw);
-    }
     if scope.lint_applies("float-eq") {
         check_float_eq(&ctx, raw);
-    }
-    // `crates/trace/` is the one sanctioned clock owner: stage spans need
-    // a monotonic origin (`Instant`), and everything it records from the
-    // clock is segregated into the manifest's non-canonical `timing`
-    // section. Every other library crate must route timing through a
-    // `Tracer` handle instead of reading the clock itself.
-    if scope.lint_applies("wall-clock") && !rel_path.starts_with("crates/trace/") {
-        check_wall_clock(&ctx, raw);
-    }
-    if scope.lint_applies("unwrap") {
-        check_method_call(&ctx, "unwrap", "unwrap", raw);
-    }
-    if scope.lint_applies("expect") {
-        check_method_call(&ctx, "expect", "expect", raw);
-    }
-    if scope.lint_applies("panic") {
-        check_panic(&ctx, raw);
     }
     if scope.lint_applies("index-literal") {
         check_index_literal(&ctx, raw);
@@ -829,50 +761,6 @@ fn check_vault_row_leak(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// L2: `HashMap`/`HashSet` in a seeded crate.
-fn check_hash_iter(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    for s in 0..ctx.len() {
-        if ctx.in_test[s] || ctx.kind(s) != TokenKind::Ident {
-            continue;
-        }
-        let t = ctx.text(s);
-        if t == "HashMap" || t == "HashSet" {
-            out.push(ctx.diag(
-                "hash-iter",
-                s,
-                format!(
-                    "`{t}` iteration order varies across runs and toolchains; use \
-                     BTreeMap/BTreeSet in seeded crates"
-                ),
-            ));
-        }
-    }
-}
-
-/// L2: `thread::spawn` (or a builder `.spawn(`) outside data::parallel.
-fn check_thread_spawn(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    for s in 0..ctx.len() {
-        if ctx.in_test[s] || ctx.kind(s) != TokenKind::Ident || ctx.text(s) != "spawn" {
-            continue;
-        }
-        if s + 1 >= ctx.len() || ctx.text(s + 1) != "(" {
-            continue;
-        }
-        let preceded = s > 0 && matches!(ctx.text(s - 1), "." | "::");
-        if preceded {
-            out.push(
-                ctx.diag(
-                    "thread-spawn",
-                    s,
-                    "ad-hoc thread spawns break deterministic scheduling; route parallelism \
-                 through fairprep_data::parallel"
-                        .to_string(),
-                ),
-            );
-        }
-    }
-}
-
 /// L2: `==`/`!=` with a float literal operand.
 fn check_float_eq(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     for s in 0..ctx.len() {
@@ -893,62 +781,6 @@ fn check_float_eq(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
                     "direct `{op}` against a float literal; use an epsilon comparison or \
                      waive with the exactness argument"
                 ),
-            ));
-        }
-    }
-}
-
-/// L2: `Instant`/`SystemTime` in library code.
-fn check_wall_clock(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    for s in 0..ctx.len() {
-        if ctx.in_test[s] || ctx.kind(s) != TokenKind::Ident {
-            continue;
-        }
-        let t = ctx.text(s);
-        if t == "Instant" || t == "SystemTime" {
-            out.push(ctx.diag(
-                "wall-clock",
-                s,
-                format!("`{t}` makes library behaviour depend on wall-clock time"),
-            ));
-        }
-    }
-}
-
-/// L3: `.unwrap()` / `.expect(` method calls.
-fn check_method_call(
-    ctx: &FileContext<'_>,
-    method: &str,
-    lint: &'static str,
-    out: &mut Vec<Diagnostic>,
-) {
-    for s in 0..ctx.len() {
-        if ctx.in_test[s] || ctx.kind(s) != TokenKind::Ident || ctx.text(s) != method {
-            continue;
-        }
-        let is_call = s + 1 < ctx.len() && ctx.text(s + 1) == "(";
-        let is_method = s > 0 && ctx.text(s - 1) == ".";
-        if is_call && is_method {
-            out.push(ctx.diag(
-                lint,
-                s,
-                format!("`.{method}(…)` in library code; propagate a Result instead"),
-            ));
-        }
-    }
-}
-
-/// L3: `panic!(…)` (and not, say, an ident named `panic`).
-fn check_panic(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    for s in 0..ctx.len() {
-        if ctx.in_test[s] || ctx.kind(s) != TokenKind::Ident || ctx.text(s) != "panic" {
-            continue;
-        }
-        if s + 1 < ctx.len() && ctx.text(s + 1) == "!" {
-            out.push(ctx.diag(
-                "panic",
-                s,
-                "`panic!` in library code; return an Error variant instead".to_string(),
             ));
         }
     }
@@ -1037,23 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_iter_and_thread_spawn_scoped_to_seeded() {
-        let src = "use std::collections::HashMap; fn f() { std::thread::spawn(|| {}); }";
-        assert_eq!(lint_ids(SEEDED, src), vec!["hash-iter", "thread-spawn"]);
-        // Other library crates may use them (nondeterminism only matters on
-        // seeded paths).
-        assert!(lint_ids("crates/datasets/src/x.rs", src).is_empty());
-        // The sanctioned parallel module is exempt from thread-spawn.
-        assert_eq!(
-            lint_ids(
-                "crates/data/src/parallel.rs",
-                "fn f() { std::thread::spawn(|| {}); }"
-            ),
-            Vec::<&str>::new()
-        );
-    }
-
-    #[test]
     fn float_eq_only_fires_on_float_literals() {
         assert_eq!(
             lint_ids(SEEDED, "fn f(x: f64) -> bool { x == 0.0 }"),
@@ -1068,12 +883,21 @@ mod tests {
 
     #[test]
     fn l3_lints_fire_in_library_not_binary() {
-        let src = "fn f(xs: &[u8]) { xs.first().unwrap(); o.expect(\"m\"); panic!(\"no\"); let _ = xs[0]; }";
-        assert_eq!(
-            lint_ids(SEEDED, src),
-            vec!["expect", "index-literal", "panic", "unwrap"]
-        );
+        let src = "fn f(xs: &[u8]) { let _ = xs[0]; }";
+        assert_eq!(lint_ids(SEEDED, src), vec!["index-literal"]);
         assert!(lint_ids("crates/cli/src/main.rs", src).is_empty());
+        // The benchmark harness is a binary like crates/bench; every
+        // library crate and the root facade get every lint.
+        for bin in ["crates/bench/src/lib.rs", "perfbench/src/serving.rs"] {
+            assert_eq!(classify(bin), FileScope::Binary, "{bin}");
+        }
+        for lib in [
+            "crates/trace/src/lib.rs",
+            "crates/datasets/src/lib.rs",
+            "src/lib.rs",
+        ] {
+            assert_eq!(classify(lib), FileScope::SeededLibrary, "{lib}");
+        }
     }
 
     #[test]
@@ -1084,9 +908,9 @@ mod tests {
 
     #[test]
     fn test_code_is_skipped() {
-        let src = "#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { x.unwrap(); v[0]; }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { x == 0.5; v[0]; }\n}";
         assert!(lint_ids(SEEDED, src).is_empty());
-        let fn_src = "#[test]\nfn t() { x.unwrap(); }\nfn prod() { y.unwrap(); }";
+        let fn_src = "#[test]\nfn t() { x[0]; }\nfn prod() { y[0]; }";
         let diags = check_file(SEEDED, fn_src);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].line, 3);
@@ -1094,22 +918,28 @@ mod tests {
 
     #[test]
     fn cfg_not_test_is_production_code() {
-        let src = "#[cfg(not(test))]\nfn prod() { x.unwrap(); }";
-        assert_eq!(lint_ids(SEEDED, src), vec!["unwrap"]);
+        let src = "#[cfg(not(test))]\nfn prod() { x[0]; }";
+        assert_eq!(lint_ids(SEEDED, src), vec!["index-literal"]);
     }
 
     #[test]
     fn waivers_cover_same_and_next_line() {
-        let same = "fn f() { x.unwrap(); } // audit: allow(unwrap, reason = \"demo\")";
+        let same = "fn f() { x[0]; } // audit: allow(index-literal, reason = \"demo\")";
         assert!(lint_ids(SEEDED, same).is_empty());
-        let above = "// audit: allow(unwrap, reason = \"demo\")\nfn f() { x.unwrap(); }";
+        let above = "// audit: allow(index-literal, reason = \"demo\")\nfn f() { x[0]; }";
         assert!(lint_ids(SEEDED, above).is_empty());
         // Out of range: the violation survives AND the waiver is stale.
-        let too_far = "// audit: allow(unwrap, reason = \"demo\")\n\nfn f() { x.unwrap(); }";
-        assert_eq!(lint_ids(SEEDED, too_far), vec!["stale-waiver", "unwrap"]);
+        let too_far = "// audit: allow(index-literal, reason = \"demo\")\n\nfn f() { x[0]; }";
+        assert_eq!(
+            lint_ids(SEEDED, too_far),
+            vec!["stale-waiver", "index-literal"]
+        );
         // A waiver for lint A does not silence lint B — and is stale.
-        let wrong = "// audit: allow(expect, reason = \"demo\")\nfn f() { x.unwrap(); }";
-        assert_eq!(lint_ids(SEEDED, wrong), vec!["stale-waiver", "unwrap"]);
+        let wrong = "// audit: allow(float-eq, reason = \"demo\")\nfn f() { x[0]; }";
+        assert_eq!(
+            lint_ids(SEEDED, wrong),
+            vec!["stale-waiver", "index-literal"]
+        );
     }
 
     #[test]
@@ -1120,12 +950,12 @@ mod tests {
 
     #[test]
     fn waiver_without_reason_is_fatal_and_inert() {
-        let src = "// audit: allow(unwrap)\nfn f() { x.unwrap(); }";
+        let src = "// audit: allow(index-literal)\nfn f() { x[0]; }";
         let diags = check_file(SEEDED, src);
         let ids: Vec<_> = diags.iter().map(|d| d.lint).collect();
         assert!(ids.contains(&"waiver-syntax"));
         assert!(
-            ids.contains(&"unwrap"),
+            ids.contains(&"index-literal"),
             "reasonless waiver must not suppress"
         );
         // Unknown lint names are rejected too.
@@ -1134,42 +964,8 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_flagged_in_library() {
-        assert_eq!(
-            lint_ids(SEEDED, "fn f() { let t = Instant::now(); }"),
-            vec!["wall-clock"]
-        );
-        assert!(lint_ids("crates/cli/src/main.rs", "fn f() { Instant::now(); }").is_empty());
-    }
-
-    #[test]
-    fn wall_clock_carveout_is_exactly_the_trace_crate() {
-        // The sanctioned clock owner may read `Instant`...
-        assert!(lint_ids("crates/trace/src/lib.rs", "fn f() { Instant::now(); }").is_empty());
-        // ...but keeps every other pipeline lint.
-        assert_eq!(
-            lint_ids("crates/trace/src/lib.rs", "fn f() { x.unwrap(); }"),
-            vec!["unwrap"]
-        );
-        assert_eq!(
-            classify("crates/trace/src/lib.rs"),
-            FileScope::SeededLibrary
-        );
-        // The carve-out does not leak to sibling pipeline crates.
-        assert_eq!(
-            lint_ids("crates/core/src/lifecycle.rs", "fn f() { Instant::now(); }"),
-            vec!["wall-clock"]
-        );
-        // A look-alike path outside `crates/` gets no carve-out either.
-        assert_eq!(
-            lint_ids("src/trace/clock.rs", "fn f() { Instant::now(); }"),
-            vec!["wall-clock"]
-        );
-    }
-
-    #[test]
     fn strings_and_comments_never_fire() {
-        let src = "fn f() { let s = \"x.unwrap() HashMap panic!\"; } // x.unwrap()";
+        let src = "fn f() { let s = \"x[0] model.fit(test) y == 0.5\"; } // x[0]";
         assert!(lint_ids(SEEDED, src).is_empty());
     }
 }

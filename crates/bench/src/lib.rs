@@ -6,7 +6,6 @@
 //! raw points to `results/` for external plotting.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod plot;
 pub mod profile_report;

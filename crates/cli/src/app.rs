@@ -771,7 +771,7 @@ mod tests {
 
         std::fs::write(
             src.join("lib.rs"),
-            "pub fn bad(v: Option<i32>) -> i32 { v.unwrap() }\n",
+            "pub fn bad(v: &[i32]) -> i32 { v[0] }\n",
         )
         .unwrap();
         let err = execute(&argv(&format!("audit --source {}", root.display()))).unwrap_err();
@@ -796,7 +796,11 @@ mod tests {
         let root = std::env::temp_dir().join("fairprep_cli_exit1_test");
         let src = root.join("src");
         std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(src.join("lib.rs"), "pub fn f() { panic!(\"boom\"); }\n").unwrap();
+        std::fs::write(
+            src.join("lib.rs"),
+            "pub fn f(x: f64) -> bool { x == 0.5 }\n",
+        )
+        .unwrap();
         let result = execute(&argv(&format!("audit --source {}", root.display())));
         assert_eq!(exit_code(&result), 1, "{result:?}");
         std::fs::remove_dir_all(&root).ok();
@@ -832,7 +836,7 @@ mod tests {
         std::fs::create_dir_all(&src).unwrap();
         std::fs::write(
             src.join("lib.rs"),
-            "pub fn bad(v: Option<i32>) -> i32 { v.unwrap() }\n",
+            "pub fn bad(v: &[i32]) -> i32 { v[0] }\n",
         )
         .unwrap();
         // Capture the dirty state, then audit against it: clean.
@@ -852,7 +856,7 @@ mod tests {
         // A *new* finding still fails against the old baseline.
         std::fs::write(
             src.join("lib.rs"),
-            "pub fn bad(v: Option<i32>) -> i32 { v.unwrap() }\npub fn worse() { panic!(\"x\"); }\n",
+            "pub fn bad(v: &[i32]) -> i32 { v[0] }\npub fn worse(x: f64) -> bool { x == 0.5 }\n",
         )
         .unwrap();
         let result = execute(&argv(&format!(

@@ -11,7 +11,6 @@
 //! bound to an ephemeral port.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod app;
 pub mod args;

@@ -47,7 +47,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod aggregate;
 pub mod experiment;

@@ -4,6 +4,11 @@
 //! resumed from its journal must be indistinguishable from an
 //! uninterrupted one.
 
+#![allow(
+    clippy::expect_used,
+    reason = "integration tests fail by panicking; the library panic-hygiene lints do not apply"
+)]
+
 use fairprep_core::experiment::Experiment;
 use fairprep_core::journal::{config_fingerprint, SweepJournal};
 use fairprep_core::learners::DecisionTreeLearner;

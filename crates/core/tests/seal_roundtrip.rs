@@ -10,6 +10,11 @@
 //! * Corrupted or truncated artifacts fail with a typed [`Error::Seal`]
 //!   and never panic.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "integration tests fail by panicking; the library panic-hygiene lints do not apply"
+)]
+
 use std::sync::OnceLock;
 
 use fairprep_core::experiment::Experiment;

@@ -214,7 +214,10 @@ impl ChunkedFrame {
             .column_names()
             .iter()
             .map(|n| {
-                // audit: allow(expect, reason = "iterating the chunk's own column names, so every lookup succeeds")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "iterating the chunk's own column names, so every lookup succeeds"
+                )]
                 let kind = chunk.column(n).expect("column exists").kind();
                 (n.clone(), kind)
             })
@@ -325,7 +328,10 @@ impl ChunkedFrame {
             let (filtered, kept) = chunk.filter(|i| !chunk.row_has_missing(i));
             kept_global.extend(kept.iter().map(|&i| base + i));
             base += chunk.n_rows();
-            // audit: allow(expect, reason = "filtered chunks keep the source chunk's schema, which push_chunk already accepted")
+            #[expect(
+                clippy::expect_used,
+                reason = "filtered chunks keep the source chunk's schema, which push_chunk already accepted"
+            )]
             out.push_chunk(filtered).expect("schema preserved");
         }
         (out, kept_global)

@@ -117,7 +117,10 @@ impl CategoricalData {
         if let Some(&code) = self.index.get(category) {
             return code;
         }
-        // audit: allow(expect, reason = "u32 codes overflow only beyond 4 billion distinct categories, far past any supported dataset")
+        #[expect(
+            clippy::expect_used,
+            reason = "u32 codes overflow only beyond 4 billion distinct categories, far past any supported dataset"
+        )]
         let code = u32::try_from(self.categories.len()).expect("too many categories");
         self.categories.push(category.to_string());
         self.index.insert(category.to_string(), code);

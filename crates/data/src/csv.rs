@@ -136,7 +136,6 @@ impl<R: BufRead> TypedCsvReader<R> {
 
     /// Reads the next data record as typed cells in request-column order.
     /// Blank lines are skipped; `None` signals end of input.
-    #[allow(clippy::should_implement_trait)]
     pub fn next_row(&mut self) -> Option<Result<Vec<OwnedValue>>> {
         for (idx, line) in self.lines.by_ref() {
             let line_no = idx + 1;
@@ -222,7 +221,10 @@ pub fn write_csv<W: Write>(frame: &DataFrame, writer: &mut W) -> Result<()> {
             if j > 0 {
                 record.push(',');
             }
-            // audit: allow(expect, reason = "iterating the frame's own column names, so every lookup succeeds")
+            #[expect(
+                clippy::expect_used,
+                reason = "iterating the frame's own column names, so every lookup succeeds"
+            )]
             match frame.column(name).expect("column exists").get(i) {
                 Value::Numeric(v) => record.push_str(&format_float(v)),
                 Value::Categorical(s) => record.push_str(&escape(s)),

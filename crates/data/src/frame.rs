@@ -163,8 +163,11 @@ impl DataFrame {
     pub fn take(&self, indices: &[usize]) -> DataFrame {
         let mut out = DataFrame::new();
         for (name, col) in self.names.iter().zip(&self.columns) {
+            #[expect(
+                clippy::expect_used,
+                reason = "source columns are unique and equal-length by construction, so re-adding them cannot fail"
+            )]
             out.add_column(name, col.take(indices))
-                // audit: allow(expect, reason = "source columns are unique and equal-length by construction, so re-adding them cannot fail")
                 .expect("take preserves schema");
         }
         out.provenance = self.provenance;
@@ -228,7 +231,10 @@ impl DataFrame {
             }
         }
         for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-            // audit: allow(expect, reason = "kinds were verified for every column pair in the loop above")
+            #[expect(
+                clippy::expect_used,
+                reason = "kinds were verified for every column pair in the loop above"
+            )]
             a.append(b).expect("kinds verified above");
         }
         self.provenance = self.provenance.merged(other.provenance);

@@ -41,7 +41,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod chunked;
 pub mod column;

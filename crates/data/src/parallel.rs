@@ -12,7 +12,10 @@
 //! No extra dependency is needed: `std::thread::scope` lets the workers
 //! borrow the closure and input non-`'static` data directly.
 
-// audit: allow-file(expect, reason = "a poisoned slot mutex means a worker closure panicked; surfacing that panic is the intended behavior")
+#![expect(
+    clippy::expect_used,
+    reason = "a poisoned slot mutex means a worker closure panicked; surfacing that panic is the intended behavior"
+)]
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -187,6 +190,10 @@ where
     F: Fn(usize) + Sync,
 {
     let threads = threads.max(1);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned spawn site: every parallel caller in the workspace runs on these scoped workers"
+    )]
     std::thread::scope(|scope| {
         for w in 0..threads {
             let worker = &worker;
@@ -254,6 +261,10 @@ mod tests {
         // One expensive item up front must not serialize the rest: with 4
         // workers the total wall time stays far below the sequential sum.
         let items: Vec<u64> = (0..16).collect();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the test asserts a wall-time bound to prove work stealing"
+        )]
         let start = std::time::Instant::now();
         let out = parallel_map(items, 4, |i| {
             std::thread::sleep(std::time::Duration::from_millis(if i == 0 {

@@ -200,7 +200,10 @@ impl DatasetProfile {
             .column_names()
             .iter()
             .map(|name| {
-                // audit: allow(expect, reason = "iterating the frame's own column names, so every lookup succeeds")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "iterating the frame's own column names, so every lookup succeeds"
+                )]
                 let col = frame.column(name).expect("column exists");
                 (name.clone(), profile_column(col))
             })
@@ -453,7 +456,6 @@ impl ProfileSketch {
         let label_col = chunk.column(&self.label_name)?;
         let protected_col = chunk.column(&self.protected.name)?;
         for i in 0..chunk.n_rows() {
-            #[allow(clippy::cast_possible_truncation)]
             let row = self.rows as usize + i;
             let favorable =
                 crate::dataset::binarize_label(label_col.get(i), &self.favorable_label, row)?

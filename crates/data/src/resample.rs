@@ -66,7 +66,6 @@ impl Resampler for Bootstrap {
         if n == 0 {
             return Err(Error::EmptyData("bootstrap input".to_string()));
         }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let m = ((n as f64) * self.fraction).round().max(1.0) as usize;
         let mut rng = component_rng(seed, "resampler/bootstrap");
         let indices: Vec<usize> = (0..m).map(|_| rng.random_range(0..n)).collect();
@@ -118,7 +117,10 @@ impl Resampler for OversampleMinorityClass {
         let mut indices: Vec<usize> = (0..train.n_rows()).collect();
         indices.reserve(deficit);
         for _ in 0..deficit {
-            // audit: allow(expect, reason = "the empty-class check above guarantees both classes are non-empty")
+            #[expect(
+                clippy::expect_used,
+                reason = "the empty-class check above guarantees both classes are non-empty"
+            )]
             indices.push(*minority.choose(&mut rng).expect("minority non-empty"));
         }
         Ok(train.take(&indices))
@@ -160,7 +162,6 @@ impl Resampler for StratifiedSubsample {
                 }
                 use rand::seq::SliceRandom;
                 cell.shuffle(&mut rng);
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 let k = ((cell.len() as f64) * self.fraction).round().max(1.0) as usize;
                 keep.extend_from_slice(&cell[..k.min(cell.len())]);
             }

@@ -131,9 +131,7 @@ pub fn split_row_indices(n: usize, spec: SplitSpec, seed: u64) -> Result<SplitIn
     let mut rng = component_rng(seed, "splitter");
     order.shuffle(&mut rng);
 
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let n_train = ((n as f64) * spec.train).round() as usize;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let n_val = ((n as f64) * spec.validation).round() as usize;
     let n_train = n_train.min(n.saturating_sub(1));
     let n_val = n_val.min(n - n_train);
@@ -430,14 +428,12 @@ pub fn stratified_train_val_test_split(
             // Reserve the test share first (at least one row per cell of
             // size >= 2) so rare cells are always represented in the test
             // set; train takes its share next; validation gets the rest.
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             let n_test = if c >= 2 {
                 (((c as f64) * spec.test).round().max(1.0) as usize).min(c - 1)
             } else {
                 0
             };
             let remaining = c - n_test;
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             let n_train = (((c as f64) * spec.train).round() as usize).clamp(1, remaining);
             let n_val = remaining - n_train;
             train_idx.extend_from_slice(&cell[..n_train]);

@@ -64,7 +64,10 @@ pub fn value_counts(column: &Column) -> Result<(BTreeMap<String, usize>, usize)>
     for code in cat.codes() {
         match code {
             Some(c) => {
-                // audit: allow(expect, reason = "codes come from the column's own dictionary, so reverse lookup cannot fail")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "codes come from the column's own dictionary, so reverse lookup cannot fail"
+                )]
                 let name = cat.category_of(*c).expect("valid code").to_string();
                 *counts.entry(name).or_insert(0) += 1;
             }
@@ -121,7 +124,10 @@ pub fn missing_rates(frame: &DataFrame) -> Vec<(String, f64)> {
         .column_names()
         .iter()
         .map(|name| {
-            // audit: allow(expect, reason = "iterating the frame's own column names, so every lookup succeeds")
+            #[expect(
+                clippy::expect_used,
+                reason = "iterating the frame's own column names, so every lookup succeeds"
+            )]
             let col = frame.column(name).expect("column exists");
             (name.clone(), col.missing_count() as f64 / n)
         })
@@ -420,9 +426,15 @@ pub fn crosstab(frame: &DataFrame, a: &str, b: &str) -> Result<CrossTab> {
     for i in 0..frame.n_rows() {
         match (col_a.codes()[i], col_b.codes()[i]) {
             (Some(ca), Some(cb)) => {
-                // audit: allow(expect, reason = "codes come from the column's own dictionary, so reverse lookup cannot fail")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "codes come from the column's own dictionary, so reverse lookup cannot fail"
+                )]
                 let ra = row_ix[col_a.category_of(ca).expect("valid code")];
-                // audit: allow(expect, reason = "codes come from the column's own dictionary, so reverse lookup cannot fail")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "codes come from the column's own dictionary, so reverse lookup cannot fail"
+                )]
                 let cb = col_ix[col_b.category_of(cb).expect("valid code")];
                 counts[ra][cb] += 1;
             }

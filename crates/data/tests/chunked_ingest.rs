@@ -4,6 +4,11 @@
 //! (CRLF line endings, quoted fields with embedded commas and quotes,
 //! missing-value tokens).
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "integration tests fail by panicking; the library panic-hygiene lints do not apply"
+)]
+
 use std::io::Cursor;
 
 use fairprep_data::chunked::{read_csv_chunked, train_val_test_split_chunked, ChunkedFrame, Tee};

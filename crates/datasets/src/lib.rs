@@ -14,7 +14,6 @@
 //! asserted by tests).
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod adult;
 pub mod compas;

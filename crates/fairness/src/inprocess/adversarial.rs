@@ -95,7 +95,6 @@ impl InProcessor for AdversarialDebiasing {
             order.shuffle(&mut rng);
             for &i in &order {
                 t += 1;
-                #[allow(clippy::cast_precision_loss)]
                 let eta = self.eta0 / (t as f64).powf(0.25);
                 let row = x.row(i);
                 let z = dot(&w, row) + b;

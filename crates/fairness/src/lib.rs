@@ -22,7 +22,6 @@
 //! then applied by the framework to later splits.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod inprocess;
 pub mod metrics;

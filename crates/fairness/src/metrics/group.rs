@@ -127,7 +127,6 @@ impl GroupMetrics {
     #[must_use]
     pub fn to_map(&self) -> BTreeMap<String, f64> {
         let mut m = BTreeMap::new();
-        #[allow(clippy::cast_precision_loss)]
         {
             m.insert("n_instances".into(), self.n_instances as f64);
             m.insert("n_positives".into(), self.n_positives as f64);

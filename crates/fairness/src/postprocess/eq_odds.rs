@@ -48,7 +48,10 @@ fn measure(scores: &[f64], labels: &[f64]) -> GroupRates {
         .iter()
         .map(|&s| f64::from(u8::from(s > 0.5)))
         .collect();
-    // audit: allow(expect, reason = "preds is computed element-wise from scores whose length was validated against labels")
+    #[expect(
+        clippy::expect_used,
+        reason = "preds is computed element-wise from scores whose length was validated against labels"
+    )]
     let cm = ConfusionMatrix::compute(labels, &preds, None).expect("equal lengths");
     GroupRates {
         tpr: cm.tpr(),
@@ -133,7 +136,10 @@ impl Postprocessor for EqOddsPostprocessing {
                 }
             }
         }
-        // audit: allow(expect, reason = "the mixing-rate grid is a compile-time constant with at least one candidate")
+        #[expect(
+            clippy::expect_used,
+            reason = "the mixing-rate grid is a compile-time constant with at least one candidate"
+        )]
         let ([p2p_priv, n2p_priv, p2p_unpriv, n2p_unpriv], _, _) = best.expect("grid non-empty");
         Ok(Box::new(FittedEqOdds {
             p2p_priv,

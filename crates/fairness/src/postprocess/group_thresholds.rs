@@ -71,8 +71,15 @@ fn metrics_at(
             f64::from(u8::from(s >= t))
         })
         .collect();
-    // audit: allow(expect, reason = "preds is computed element-wise from scores whose length was validated against labels")
+    #[expect(
+        clippy::expect_used,
+        reason = "preds is computed element-wise from scores whose length was validated against labels"
+    )]
     let overall = ConfusionMatrix::compute(labels, &preds, None).expect("lengths");
+    #[expect(
+        clippy::expect_used,
+        reason = "y and pr are zip-filtered from equal-length inputs, so their lengths match"
+    )]
     let group_cm = |keep: bool| {
         let y: Vec<f64> = labels
             .iter()
@@ -86,7 +93,6 @@ fn metrics_at(
             .filter(|(_, &p)| p == keep)
             .map(|(&v, _)| v)
             .collect();
-        // audit: allow(expect, reason = "y and pr are zip-filtered from equal-length inputs, so their lengths match")
         ConfusionMatrix::compute(&y, &pr, None).expect("lengths")
     };
     let cm_p = group_cm(true);

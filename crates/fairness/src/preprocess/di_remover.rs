@@ -109,7 +109,6 @@ impl FeatureRepair {
             return s[0];
         }
         let pos = q.clamp(0.0, 1.0) * (s.len() - 1) as f64;
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let lo = pos.floor() as usize;
         let hi = (lo + 1).min(s.len() - 1);
         let frac = pos - lo as f64;

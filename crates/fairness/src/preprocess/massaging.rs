@@ -108,7 +108,6 @@ impl FittedPreprocessor for FittedMassaging {
             .filter(|(_, &m)| !m)
             .map(|(&y, _)| y)
             .sum();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let m = (((pos_p * n_u - pos_u * n_p) / (n_u + n_p)).round().max(0.0)) as usize;
 
         if m > 0 {

@@ -101,7 +101,6 @@ impl FittedPreprocessor for FittedPreferentialSampling {
         let mut keep: Vec<usize> = Vec::with_capacity(n);
         for g in 0..2 {
             for y in 0..2 {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 let expected = ((group_totals[g] as f64) * (label_totals[y] as f64) / n as f64)
                     .round() as usize;
                 let mut members = cells[g][y].clone();

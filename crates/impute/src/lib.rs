@@ -24,7 +24,6 @@
 //! dataset can participate in imputation studies.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod inject;
 pub mod model_based;
@@ -318,11 +317,17 @@ pub(crate) fn column_fills(
             )));
         }
         let fill = match (strategy, col) {
+            #[expect(
+                clippy::expect_used,
+                reason = "the all-missing check above guarantees at least one present value, so mean exists"
+            )]
             (FillStrategy::MeanMode, Column::Numeric(_)) => {
-                // audit: allow(expect, reason = "the all-missing check above guarantees at least one present value, so mean exists")
                 OwnedValue::Numeric(col.mean().expect("non-empty numeric column"))
             }
-            // audit: allow(expect, reason = "the all-missing check above guarantees at least one present value, so mode exists")
+            #[expect(
+                clippy::expect_used,
+                reason = "the all-missing check above guarantees at least one present value, so mode exists"
+            )]
             _ => col.mode().expect("non-empty column"),
         };
         fills.push((name.clone(), fill));

@@ -243,13 +243,16 @@ impl ColumnModel {
 
         let model = match target_col.kind() {
             ColumnKind::Categorical => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "rows were filtered to non-missing target cells just above"
+                )]
                 let values: Vec<String> = observed
                     .iter()
                     .map(|&i| {
                         target_col
                             .get(i)
                             .as_categorical()
-                            // audit: allow(expect, reason = "rows were filtered to non-missing target cells just above")
                             .expect("observed categorical")
                             .to_string()
                     })
@@ -283,9 +286,12 @@ impl ColumnModel {
                 TargetModel::Categorical { categories, models }
             }
             ColumnKind::Numeric => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "rows were filtered to non-missing target cells just above"
+                )]
                 let ys: Vec<f64> = observed
                     .iter()
-                    // audit: allow(expect, reason = "rows were filtered to non-missing target cells just above")
                     .map(|&i| target_col.get(i).as_numeric().expect("observed numeric"))
                     .collect();
                 let n = ys.len() as f64;
@@ -376,7 +382,6 @@ fn fit_ridge_sgd(x: &Matrix, y: &[f64], epochs: usize, alpha: f64, seed: u64) ->
         order.shuffle(&mut rng);
         for &i in &order {
             t += 1;
-            #[allow(clippy::cast_precision_loss)]
             let eta = 0.05 / (t as f64).powf(0.25);
             let row = x.row(i);
             let err = dot(&w, row) + b - y[i];

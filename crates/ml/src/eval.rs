@@ -381,7 +381,6 @@ pub fn calibration_curve(
     let mut pred_sums = vec![0.0_f64; n_bins];
     let mut pos_sums = vec![0.0_f64; n_bins];
     for (&y, &p) in y_true.iter().zip(probas) {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let bin = ((p.clamp(0.0, 1.0) * n_bins as f64) as usize).min(n_bins - 1);
         counts[bin] += 1;
         pred_sums[bin] += p;

@@ -28,7 +28,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod eval;
 pub mod kernels;

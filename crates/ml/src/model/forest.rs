@@ -92,7 +92,6 @@ impl Classifier for RandomForest {
         }
         let n = x.n_rows();
         let d = x.n_cols();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let n_features = self
             .config
             .max_features

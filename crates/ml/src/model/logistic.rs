@@ -176,7 +176,6 @@ impl Classifier for LogisticRegressionSgd {
             order.shuffle(&mut rng);
             for &i in &order {
                 t += 1;
-                #[allow(clippy::cast_precision_loss)]
                 let eta = c.eta0 / (t as f64).powf(c.power_t);
                 let row = x.row(i);
                 let z = dot(&w, row) + b;

@@ -126,7 +126,10 @@ impl OneHotEncoder {
     /// Convenience wrapper returning a fresh vector.
     pub fn encode(&self, value: Option<&str>) -> Vec<f64> {
         let mut out = vec![0.0; self.width()];
-        // audit: allow(expect, reason = "the output vector is allocated with self.width() on the previous line")
+        #[expect(
+            clippy::expect_used,
+            reason = "the output vector is allocated with self.width() on the previous line"
+        )]
         self.encode_into(value, &mut out).expect("width matches");
         out
     }

@@ -167,8 +167,11 @@ impl FaultArm {
         }
         match self.plan.decide(self.job_seed, self.attempt) {
             None | Some(FaultKind::Mixed) => {}
+            #[expect(
+                clippy::panic,
+                reason = "fault injection exists to raise exactly this panic; the sweep runner catches and records it"
+            )]
             Some(FaultKind::Panic) => {
-                // audit: allow(panic, reason = "fault injection exists to raise exactly this panic; the sweep runner catches and records it")
                 panic!(
                     "{INJECTED_PANIC}: stage {}, seed {}, attempt {}",
                     stage.name(),
@@ -176,8 +179,11 @@ impl FaultArm {
                     self.attempt
                 );
             }
+            #[expect(
+                clippy::panic,
+                reason = "injected transient faults unwind to the runner, which classifies them as retryable"
+            )]
             Some(FaultKind::Transient) => {
-                // audit: allow(panic, reason = "injected transient faults unwind to the runner, which classifies them as retryable")
                 panic!(
                     "{INJECTED_TRANSIENT}: stage {}, seed {}, attempt {}",
                     stage.name(),

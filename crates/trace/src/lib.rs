@@ -19,9 +19,9 @@
 //!   tooling can diff the canonical part byte-for-byte.
 //!
 //! This crate is the **only** place in the workspace sanctioned to read
-//! the monotonic clock ([`std::time::Instant`]); the static audit's
-//! `wall-clock` lint carves out `crates/trace/` and fires everywhere
-//! else. Span structure is only ever mutated from sequential sections of
+//! the monotonic clock ([`std::time::Instant`]): clippy's `disallowed_types`
+//! bans it in every library crate, and each read here carries its own
+//! `#[expect]`. Span structure is only ever mutated from sequential sections of
 //! the lifecycle, while parallel fold jobs touch atomic counters alone —
 //! which is why the canonical manifest cannot observe the thread budget.
 
@@ -42,6 +42,10 @@ pub use profile::{
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the tracer is the one sanctioned clock owner; span times land only in the non-canonical timing section"
+)]
 use std::time::Instant;
 
 /// The closed set of lifecycle stages a span may be attached to.
@@ -225,6 +229,10 @@ pub struct SpanEvent {
 }
 
 struct Inner {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the tracer is the one sanctioned clock owner; span times land only in the non-canonical timing section"
+    )]
     origin: Instant,
     events: Mutex<Vec<SpanEvent>>,
     failures: Mutex<Vec<String>>,
@@ -258,6 +266,10 @@ impl Tracer {
     pub fn enabled() -> Self {
         Tracer {
             inner: Some(Arc::new(Inner {
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "the tracer is the one sanctioned clock owner; span times land only in the non-canonical timing section"
+                )]
                 origin: Instant::now(),
                 events: Mutex::new(Vec::new()),
                 failures: Mutex::new(Vec::new()),

@@ -29,6 +29,10 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
+#[expect(
+    clippy::disallowed_types,
+    reason = "sweep progress ETAs extrapolate elapsed wall time; fairprep-trace is the one sanctioned clock owner"
+)]
 use std::time::Instant;
 
 use crate::json::{obj, Value};
@@ -191,7 +195,6 @@ impl HistogramSnapshot {
         if self.count == 0 {
             return 0;
         }
-        #[allow(clippy::cast_sign_loss, clippy::cast_precision_loss)]
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, b) in self.buckets.iter().enumerate() {
@@ -289,7 +292,6 @@ pub fn percentile_of_sorted(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    #[allow(clippy::cast_sign_loss, clippy::cast_precision_loss)]
     let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
     sorted.get(idx).copied().unwrap_or(0)
 }
@@ -309,6 +311,10 @@ pub fn percentile_of_sorted(sorted: &[u64], q: f64) -> u64 {
 #[derive(Debug)]
 pub struct ProgressSink {
     out: Mutex<std::io::BufWriter<std::fs::File>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "sweep progress ETAs extrapolate elapsed wall time; fairprep-trace is the one sanctioned clock owner"
+    )]
     started: Instant,
     total: u64,
     done: AtomicU64,
@@ -324,6 +330,10 @@ impl ProgressSink {
             .map_err(|e| format!("cannot create progress file {}: {e}", path.display()))?;
         let sink = ProgressSink {
             out: Mutex::new(std::io::BufWriter::new(file)),
+            #[expect(
+                clippy::disallowed_types,
+                reason = "sweep progress ETAs extrapolate elapsed wall time; fairprep-trace is the one sanctioned clock owner"
+            )]
             started: Instant::now(),
             total,
             done: AtomicU64::new(0),

@@ -4,6 +4,11 @@
 //! windows must retain exactly the last `capacity` observations under
 //! sequential load and exactly the right count under concurrent load.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the properties are checked under concurrent writers, so the test spawns its own threads"
+)]
+
 use fairprep_trace::telemetry::{
     log2_bucket, RingWindow, ShardedCounter, ShardedHistogram, HISTOGRAM_BUCKETS,
 };

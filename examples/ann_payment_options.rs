@@ -24,6 +24,11 @@
 //! cargo run --release --example ann_payment_options
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "examples are binaries; the library panic-hygiene lints do not apply"
+)]
+
 use fairprep::prelude::*;
 use fairprep_core::runner::{run_parallel, Job};
 

@@ -13,6 +13,12 @@
 //! replays the committed fixtures against an in-process server — any
 //! byte of drift in the serving path fails the build.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "examples are binaries; the library panic-hygiene lints do not apply"
+)]
+
 use fairprep_cli::golden::{golden_bodies, golden_pipeline, GOLDEN_DATASETS};
 use fairprep_cli::serve::{http_request, http_request_accept, Registry, ServerHandle};
 use fairprep_trace::json::{obj, Value};

@@ -9,6 +9,12 @@
 //! this at two thread budgets and diffs the output directories against
 //! the committed goldens — any byte of drift fails the build.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "examples are binaries; the library panic-hygiene lints do not apply"
+)]
+
 use fairprep::golden::{golden_canonical, golden_file, GOLDEN_CASES};
 
 fn main() {

@@ -3,6 +3,11 @@
 //! fairness metric in the right direction (or at minimum not catastrophically
 //! regress) relative to the uncorrected baseline.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "integration tests fail by panicking; the library panic-hygiene lints do not apply"
+)]
+
 use fairprep::prelude::*;
 use fairprep_core::results::RunResult;
 

@@ -6,6 +6,11 @@
 //! fitting, candidate training, validation metrics, model selection) is
 //! bit-identical whether or not the test partition's contents change.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "integration tests fail by panicking; the library panic-hygiene lints do not apply"
+)]
+
 use fairprep::prelude::*;
 use fairprep_data::column::OwnedValue;
 use fairprep_data::split::train_val_test_split;

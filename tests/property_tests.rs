@@ -1,5 +1,10 @@
 //! Property-based tests (proptest) over the substrates' core invariants.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "integration tests fail by panicking; the library panic-hygiene lints do not apply"
+)]
+
 use proptest::prelude::*;
 
 use fairprep::prelude::*;

@@ -5,6 +5,11 @@
 //! all components (data splitters, learning algorithms, feature
 //! transformations)."
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "integration tests fail by panicking; the library panic-hygiene lints do not apply"
+)]
+
 use std::collections::BTreeMap;
 
 use fairprep::prelude::*;
