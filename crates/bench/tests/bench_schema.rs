@@ -1,9 +1,11 @@
 //! Schema checks for the committed benchmarks: a fresh quick-mode
 //! `bench_kernels` run and the committed full-scale
 //! `results/BENCH_kernels.json`, a fresh quick-mode `bench_serve` run and
-//! the committed `results/BENCH_serve.json`, and the committed
-//! `results/BENCH_gridsearch.json`. A hand-edited results file, or a
-//! bench that stops timing a kernel against its reference, fails here.
+//! the committed `results/BENCH_serve.json`, a fresh quick-mode
+//! `bench_telemetry` run and the committed `results/BENCH_telemetry.json`,
+//! and the committed `results/BENCH_gridsearch.json`. A hand-edited
+//! results file, a bench that stops timing a kernel against its
+//! reference, or telemetry over its overhead budget fails here.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -208,4 +210,71 @@ fn quick_bench_serve_output_matches_schema() {
 #[test]
 fn committed_bench_serve_matches_schema() {
     check_serve(&results_path("BENCH_serve.json"), true);
+}
+
+/// The telemetry overhead claims: one sharded-counter record costs
+/// under 2x a bare atomic increment, and instrumented serving, with and
+/// without alerts armed, stays within 5% of uninstrumented throughput.
+/// `committed` marks the baseline: a full (not quick) release run.
+fn check_telemetry(path: &Path, committed: bool) {
+    let doc = load(path);
+    let p = path.display();
+    assert_eq!(
+        field(&doc, "bench", path).as_str(),
+        Some("telemetry"),
+        "{p}"
+    );
+    check_provenance(&doc, path, committed);
+    if committed {
+        assert_eq!(
+            field(&doc, "quick", path).as_bool(),
+            Some(false),
+            "{p}: committed baseline must be a full release run"
+        );
+    }
+    let record = field(&doc, "record_path", path);
+    assert!(num(record, "ops", path) >= 1_000_000.0, "{p}: ops");
+    for key in [
+        "bare_atomic_ns_per_op",
+        "sharded_counter_ns_per_op",
+        "sharded_histogram_ns_per_op",
+        "ring_window_ns_per_op",
+    ] {
+        assert!(num(record, key, path) > 0.0, "{p}: {key} must be positive");
+    }
+    let budget_ratio = num(record, "budget_ratio", path);
+    assert_eq!(budget_ratio, 2.0, "{p}: budget_ratio");
+    let ratio = num(record, "counter_overhead_ratio", path);
+    assert!(
+        ratio < budget_ratio,
+        "{p}: record overhead {ratio}x over budget"
+    );
+    let serve = field(&doc, "serve", path);
+    for key in ["instrumented_rps", "uninstrumented_rps", "alerts_armed_rps"] {
+        assert!(num(serve, key, path) > 0.0, "{p}: {key} must be positive");
+    }
+    let budget_pct = num(serve, "budget_pct", path);
+    assert_eq!(budget_pct, 5.0, "{p}: budget_pct");
+    for key in ["overhead_pct", "alerts_overhead_pct"] {
+        let overhead = num(serve, key, path);
+        assert!(overhead < budget_pct, "{p}: {key} {overhead}% over budget");
+    }
+}
+
+#[test]
+#[ignore = "5% gate is noise-dominated on ≤2 cores; CI runs it"]
+fn quick_bench_telemetry_output_matches_schema() {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("bench_telemetry_quick");
+    let status = Command::new(env!("CARGO_BIN_EXE_bench_telemetry"))
+        .arg("--out")
+        .arg(&out)
+        .status()
+        .expect("bench_telemetry runs");
+    assert!(status.success(), "bench_telemetry exited with {status}");
+    check_telemetry(&out.join("BENCH_telemetry.json"), false);
+}
+
+#[test]
+fn committed_bench_telemetry_matches_schema() {
+    check_telemetry(&results_path("BENCH_telemetry.json"), true);
 }

@@ -69,8 +69,13 @@ pub fn golden_pipeline(dataset: &str) -> Result<SealedPipeline, String> {
 }
 
 /// Renders dataset row `i` as a predict-request row object: every
-/// non-label column, missing cells as `null`.
-fn row_value(data: &BinaryLabelDataset, i: usize) -> Value {
+/// non-label column by name, numeric cells as JSON numbers, categorical
+/// cells as strings, and missing cells (NaN or absent) as `null`.
+///
+/// The golden fixtures and the serve and alert integration tests all
+/// build their `{"row": ...}` / `{"rows": [...]}` bodies from it.
+#[must_use]
+pub fn row_value(data: &BinaryLabelDataset, i: usize) -> Value {
     let members = data
         .schema()
         .fields()
@@ -115,4 +120,36 @@ pub fn golden_bodies(dataset: &str) -> Result<Vec<String>, String> {
 #[must_use]
 pub fn fixture_path(dataset: &str) -> String {
     format!("tests/golden_serve/{dataset}.json")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn row_value_renders_every_feature_and_nulls_missing_cells() {
+        let data = golden_dataset("payment").unwrap();
+        let label = data.schema().label_name().unwrap();
+        let incomplete = data.frame().incomplete_rows()[0];
+        let Value::Obj(members) = row_value(&data, incomplete) else {
+            panic!("a row renders as an object");
+        };
+        let names: Vec<&str> = members.iter().map(|(name, _)| name.as_str()).collect();
+        let features: Vec<&str> = data
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| f.name.as_str())
+            .filter(|name| *name != label)
+            .collect();
+        assert_eq!(names, features, "every non-label column, in schema order");
+        for (name, cell) in &members {
+            let missing = data.frame().column(name).unwrap().is_missing(incomplete);
+            assert_eq!(*cell == Value::Null, missing, "{name}: {cell:?}");
+        }
+        assert!(
+            members.iter().any(|(_, cell)| *cell == Value::Null),
+            "an incomplete row renders its missing cell as null"
+        );
+    }
 }

@@ -1791,7 +1791,6 @@ impl AccessLog {
     }
 
     /// Appends one access record if the request id is sampled.
-    #[allow(clippy::too_many_arguments)]
     fn record(&self, span: &AccessSpan<'_>) {
         if !span.id.is_multiple_of(self.sample_every) {
             return;

@@ -9,10 +9,12 @@
 use std::io::{Read as _, Write as _};
 use std::sync::OnceLock;
 
-use fairprep_cli::golden::{golden_dataset, golden_pipeline};
+use fairprep_cli::golden::{golden_dataset, golden_pipeline, row_value};
 use fairprep_cli::serve::{http_request, http_request_accept, Registry, ServerHandle};
 use fairprep_trace::alert::parse_specs;
 use fairprep_trace::json::{obj, parse, Value};
+
+mod common;
 
 /// One fitted german pipeline shared by every test in this file.
 fn german() -> &'static fairprep_core::seal::SealedPipeline {
@@ -49,28 +51,6 @@ fn row_body(data: &fairprep_data::dataset::BinaryLabelDataset, i: usize) -> Stri
 fn rows_body(data: &fairprep_data::dataset::BinaryLabelDataset, indices: &[usize]) -> String {
     let rows = indices.iter().map(|&i| row_value(data, i)).collect();
     obj(vec![("rows", Value::Arr(rows))]).to_json()
-}
-
-fn row_value(data: &fairprep_data::dataset::BinaryLabelDataset, i: usize) -> Value {
-    use fairprep_data::schema::Role;
-    let members = data
-        .schema()
-        .fields()
-        .iter()
-        .filter(|f| f.role != Role::Label)
-        .map(|f| {
-            let cell = data
-                .frame()
-                .column(&f.name)
-                .map_or(Value::Null, |col| match col.get(i) {
-                    fairprep_data::column::Value::Numeric(x) if !x.is_nan() => Value::Num(x),
-                    fairprep_data::column::Value::Categorical(s) => Value::Str(s.to_string()),
-                    _ => Value::Null,
-                });
-            (f.name.as_str(), cell)
-        })
-        .collect();
-    obj(members)
 }
 
 /// The first (only) pipeline object in a `/metrics` JSON document.
@@ -342,6 +322,178 @@ fn alert_transitions_post_canonical_payload_to_webhook() {
         Some(german().fingerprint.as_str())
     );
     server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The alerting path through the real binaries: `fairprep serve` with
+/// a PSI alert on `age`, a webhook and a 1%-sampled access log stays
+/// quiet on 1,200 in-distribution rows, then fires exactly once on 400
+/// single-row copies. The firing shows in both `/metrics` formats, its
+/// canonical payload reaches the webhook, its `alert` event survives
+/// the access-log sampling, and `fairprep tail` renders it distinctly.
+#[test]
+fn cli_alert_fires_once_on_contaminated_traffic() {
+    let dir = scratch_dir("cli");
+    let registry = dir.join("registry");
+    let fingerprint = common::seal_german(&registry);
+
+    // In-distribution rows: `fairprep generate` writes exactly the
+    // generator's frame, whose rows become the request bodies.
+    let csv = dir.join("german.csv");
+    let generated = std::process::Command::new(common::EXE)
+        .args(["generate", "--dataset", "german", "--rows", "150"])
+        .args(["--seed", "7", "--out"])
+        .arg(&csv)
+        .output()
+        .unwrap();
+    assert!(
+        generated.status.success(),
+        "fairprep generate exited with {}: {}",
+        generated.status,
+        String::from_utf8_lossy(&generated.stderr)
+    );
+    let data = fairprep_cli::build::load_dataset("german", 150, 7).unwrap();
+    let mut expected = Vec::new();
+    fairprep_data::csv::write_csv(data.frame(), &mut expected).unwrap();
+    assert_eq!(std::fs::read(&csv).unwrap(), expected, "generated CSV");
+    let rows: Vec<Value> = (0..data.n_rows()).map(|i| row_value(&data, i)).collect();
+    assert_eq!(rows.len(), 150);
+
+    let spec = dir.join("alerts.json");
+    std::fs::write(
+        &spec,
+        r#"{"alerts": [{"name": "age-drift", "metric": "psi", "column": "age",
+            "window": "1k", "trip": 0.2, "clear": 0.1, "for": 25, "min_hold": 100000}]}"#,
+    )
+    .unwrap();
+    let log = dir.join("alert-access.jsonl");
+    let (hook_addr, hook_rx) = spawn_webhook_receiver();
+    let server = common::serve(
+        &registry,
+        &[
+            "--alerts",
+            spec.to_str().unwrap(),
+            "--webhook",
+            &format!("http://{hook_addr}/alert-hook"),
+            "--access-log",
+            log.to_str().unwrap(),
+            "--sample-rate",
+            "0.01",
+        ],
+    );
+    let addr = server.addr;
+    let path = format!("/predict/{fingerprint}");
+    let predict = |body: &str| {
+        let (status, response) = http_request(addr, "POST", &path, Some(body)).unwrap();
+        assert_eq!(status, 200, "{response}");
+    };
+    let alert = || {
+        let (status, metrics) = http_request(addr, "GET", "/metrics", None).unwrap();
+        assert_eq!(status, 200, "{metrics}");
+        let alerts = first_pipe(&metrics)
+            .get("alerts")
+            .and_then(Value::as_array)
+            .unwrap()
+            .to_vec();
+        assert_eq!(alerts.len(), 1, "{metrics}");
+        alerts[0].clone()
+    };
+
+    // Phase 1: 8 batches of the 150 rows fill the 1k window.
+    let batch = obj(vec![("rows", Value::Arr(rows.clone()))]).to_json();
+    for _ in 0..8 {
+        predict(&batch);
+    }
+    let quiet = alert();
+    assert_eq!(quiet.get("state").and_then(Value::as_str), Some("normal"));
+    assert_eq!(
+        quiet.get("fired_total").and_then(Value::as_u64_any),
+        Some(0)
+    );
+    assert!(hook_rx.try_recv().is_err(), "no webhook in-distribution");
+
+    // Phase 2: 400 copies of one row collapse `age` onto a point.
+    let single = obj(vec![("row", rows[0].clone())]).to_json();
+    for _ in 0..400 {
+        predict(&single);
+    }
+    let firing = alert();
+    assert_eq!(
+        firing.get("state").and_then(Value::as_str),
+        Some("firing"),
+        "{firing:?}"
+    );
+    assert_eq!(
+        firing.get("fired_total").and_then(Value::as_u64_any),
+        Some(1)
+    );
+    assert!(
+        firing.get("value").and_then(Value::as_f64).unwrap() > 0.2,
+        "{firing:?}"
+    );
+    let (_, prom) = http_request_accept(addr, "GET", "/metrics", None, Some("text/plain")).unwrap();
+    let active = prom
+        .lines()
+        .find(|l| l.starts_with("fairprep_alert_active{"))
+        .unwrap_or_else(|| panic!("no active-alert sample: {prom}"));
+    assert!(active.ends_with(" 1"), "{active}");
+
+    let (request_line, payload) = hook_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("webhook payload must arrive within 10 s");
+    assert!(
+        request_line.starts_with("POST /alert-hook "),
+        "{request_line}"
+    );
+    let event = parse(&payload).unwrap();
+    for (key, value) in [
+        ("event", "alert"),
+        ("state", "firing"),
+        ("name", "age-drift"),
+        ("column", "age"),
+    ] {
+        assert_eq!(
+            event.get(key).and_then(Value::as_str),
+            Some(value),
+            "{payload}"
+        );
+    }
+    drop(server);
+
+    // 1% sampling thins the access records but never the alert event,
+    // which is the webhook payload byte for byte.
+    let text = std::fs::read_to_string(&log).unwrap();
+    let mut alerts = Vec::new();
+    for line in text.lines() {
+        let record = parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        if record.get("event").and_then(Value::as_str) != Some("alert") {
+            continue;
+        }
+        for key in [
+            "name", "pipeline", "metric", "window", "state", "value", "trip", "clear",
+        ] {
+            assert!(
+                record.get(key).is_some(),
+                "alert event missing {key}: {line}"
+            );
+        }
+        let threshold = |key| record.get(key).and_then(Value::as_f64).unwrap();
+        assert_ne!(threshold("trip"), threshold("clear"), "{line}");
+        assert_eq!(
+            record.get("state").and_then(Value::as_str),
+            Some("firing"),
+            "{line}"
+        );
+        alerts.push(line);
+    }
+    // Exactly one event, byte-equal to the webhook payload.
+    assert_eq!(alerts, [payload.as_str()], "{text}");
+
+    let rendered = common::tail_once(&log);
+    assert!(
+        rendered.contains("ALERT age-drift FIRING: psi(age)"),
+        "{rendered}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -5,17 +5,18 @@
 //! group and PSI drift against the sealed training profile — and the
 //! `fairprep serve` binary end to end.
 
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
-use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use fairprep_cli::golden::{golden_bodies, golden_pipeline};
+use fairprep_cli::golden::{golden_bodies, golden_pipeline, row_value};
 use fairprep_cli::serve::{http_request, Registry, ServerHandle, MAX_HEADERS, MAX_HEAD_LINE_BYTES};
-use fairprep_trace::json::{parse, Value};
+use fairprep_trace::json::{obj, parse, Value};
+
+mod common;
 
 /// One fitted german pipeline shared by every test in this file (the
 /// lifecycle run dominates test time; the server itself is cheap).
@@ -507,132 +508,58 @@ fn rolling_windows_catch_shift_that_lifetime_metrics_dilute() {
 
 /// Renders dataset rows `indices` as one batched predict body.
 fn rows_body(data: &fairprep_data::dataset::BinaryLabelDataset, indices: &[usize]) -> String {
-    use fairprep_data::schema::Role;
-    use fairprep_trace::json::obj;
-    let rows: Vec<Value> = indices
-        .iter()
-        .map(|&i| {
-            let members = data
-                .schema()
-                .fields()
-                .iter()
-                .filter(|f| f.role != Role::Label)
-                .map(|f| {
-                    let cell =
-                        data.frame()
-                            .column(&f.name)
-                            .map_or(Value::Null, |col| match col.get(i) {
-                                fairprep_data::column::Value::Numeric(x) if !x.is_nan() => {
-                                    Value::Num(x)
-                                }
-                                fairprep_data::column::Value::Categorical(s) => {
-                                    Value::Str(s.to_string())
-                                }
-                                _ => Value::Null,
-                            });
-                    (f.name.as_str(), cell)
-                })
-                .collect();
-            obj(members)
-        })
-        .collect();
+    let rows = indices.iter().map(|&i| row_value(data, i)).collect();
     obj(vec![("rows", Value::Arr(rows))]).to_json()
 }
 
-/// Renders dataset row `i` as a single-row predict body (mirrors the
-/// golden module's private row renderer through the public schema).
+/// Renders dataset row `i` as a single-row predict body.
 fn row_body(data: &fairprep_data::dataset::BinaryLabelDataset, i: usize) -> String {
-    use fairprep_data::schema::Role;
-    use fairprep_trace::json::obj;
-    let members = data
-        .schema()
-        .fields()
-        .iter()
-        .filter(|f| f.role != Role::Label)
-        .map(|f| {
-            let cell = data
-                .frame()
-                .column(&f.name)
-                .map_or(Value::Null, |col| match col.get(i) {
-                    fairprep_data::column::Value::Numeric(x) if !x.is_nan() => Value::Num(x),
-                    fairprep_data::column::Value::Categorical(s) => Value::Str(s.to_string()),
-                    _ => Value::Null,
-                });
-            (f.name.as_str(), cell)
-        })
-        .collect();
-    obj(vec![("row", obj(members))]).to_json()
+    obj(vec![("row", row_value(data, i))]).to_json()
 }
 
-/// Kills the child server when the test ends, pass or fail.
-struct Killed(std::process::Child);
-
-impl Drop for Killed {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
+/// The first (only) pipeline object of a `/metrics` JSON scrape.
+fn scrape_pipe(addr: SocketAddr) -> Value {
+    let (status, metrics) = http_request(addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200, "{metrics}");
+    match parse(&metrics).unwrap().get("pipelines") {
+        Some(Value::Obj(members)) if members.len() == 1 => members[0].1.clone(),
+        other => panic!("expected exactly one pipeline: {other:?}"),
     }
 }
 
+fn count(doc: &Value, key: &str) -> u64 {
+    doc.get(key)
+        .and_then(Value::as_u64_any)
+        .unwrap_or_else(|| panic!("`{key}` must be a count: {doc:?}"))
+}
+
 /// The `fairprep` binary end to end: a pipeline sealed by `fairprep run`
-/// is served by `fairprep serve --port 0`, answers every committed
-/// golden german request body, and shows live decision rates and drift
-/// tracking in `/metrics`.
+/// is served by `fairprep serve --port 0` with a full access log. Eight
+/// concurrent clients replay every committed golden german request body
+/// between two `/metrics` scrapes, whose lifetime counters must grow
+/// and whose rolling window and decision rates must be live. The
+/// Prometheus exposition must be typed and parseable, the access log
+/// complete and well-formed, and `fairprep tail` must render it.
 #[test]
 fn cli_serves_a_sealed_pipeline_over_http() {
-    let exe = env!("CARGO_BIN_EXE_fairprep");
-    let registry = scratch_dir("cli_registry");
-    let status = Command::new(exe)
-        .args([
-            "run",
-            "--dataset",
-            "german",
-            "--rows",
-            "150",
-            "--learner",
-            "dt",
-        ])
-        .args(["--seed", "7", "--seal"])
-        .arg(&registry)
-        .stdout(Stdio::null())
-        .status()
-        .unwrap();
-    assert!(status.success(), "fairprep run --seal exited with {status}");
-    let artifacts: Vec<_> = std::fs::read_dir(&registry)
-        .unwrap()
-        .map(|entry| entry.unwrap().path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
-        .collect();
-    assert_eq!(artifacts.len(), 1, "{artifacts:?}");
-    let fingerprint = artifacts[0].file_stem().unwrap().to_str().unwrap();
-
-    let mut child = Command::new(exe)
-        .args(["serve", "--port", "0", "--threads", "2", "--registry"])
-        .arg(&registry)
-        .stdout(Stdio::piped())
-        .spawn()
-        .unwrap();
-    // Held to the end: the server prints its routes after the address
-    // line and must not meet a closed pipe.
-    let mut stdout = BufReader::new(child.stdout.take().unwrap()).lines();
-    let server = Killed(child);
-    let addr: SocketAddr = stdout
-        .by_ref()
-        .find_map(|line| {
-            let line = line.unwrap();
-            line.split_once(" on http://")
-                .map(|(_, addr)| addr.trim().parse().unwrap())
-        })
-        .expect("fairprep serve prints `serving ... on http://ADDR`");
-
-    let healthy = (0..100).any(|_| {
-        let ok = matches!(http_request(addr, "GET", "/healthz", None), Ok((200, _)));
-        if !ok {
-            std::thread::sleep(Duration::from_millis(200));
-        }
-        ok
-    });
-    assert!(healthy, "server never became healthy");
+    let dir = scratch_dir("cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    let registry = dir.join("registry");
+    let log = dir.join("access.log.jsonl");
+    let fingerprint = common::seal_german(&registry);
+    let server = common::serve(
+        &registry,
+        &[
+            "--access-log",
+            log.to_str().unwrap(),
+            "--sample-rate",
+            "1.0",
+        ],
+    );
+    let addr = server.addr;
+    // Every request that reaches the server leaves one access record;
+    // `common::serve` sent one health probe.
+    let mut sent = 1;
 
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden_serve/german.json");
     let golden = parse(&std::fs::read_to_string(golden).unwrap()).unwrap();
@@ -644,42 +571,140 @@ fn cli_serves_a_sealed_pipeline_over_http() {
         .map(|request| request.get("body").and_then(Value::as_str).unwrap())
         .collect();
     let path = format!("/predict/{fingerprint}");
-    for _ in 0..5 {
-        for body in &bodies {
-            let (status, response) = http_request(addr, "POST", &path, Some(body)).unwrap();
-            assert_eq!(status, 200, "{response}");
-        }
-    }
-
-    let (status, metrics) = http_request(addr, "GET", "/metrics", None).unwrap();
-    assert_eq!(status, 200, "{metrics}");
-    let doc = parse(&metrics).unwrap();
-    let pipe = match doc.get("pipelines") {
-        Some(Value::Obj(members)) if members.len() == 1 => members[0].1.clone(),
-        other => panic!("expected exactly one pipeline: {other:?}"),
+    // 8 concurrent clients, each replaying every body 5 times.
+    let per_phase = (8 * 5 * bodies.len()) as u64;
+    let hammer = || {
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..5 {
+                        for body in &bodies {
+                            let (status, response) =
+                                http_request(addr, "POST", &path, Some(body)).unwrap();
+                            assert_eq!(status, 200, "{response}");
+                        }
+                    }
+                });
+            }
+        });
     };
-    assert!(
-        pipe.get("requests").and_then(Value::as_u64_any).unwrap() > 0,
-        "{metrics}"
-    );
-    assert_eq!(
-        pipe.get("errors").and_then(Value::as_u64_any),
-        Some(0),
-        "{metrics}"
-    );
-    let decisions = pipe.get("decisions").unwrap();
+
+    hammer();
+    let first = scrape_pipe(addr);
+    hammer();
+    let second = scrape_pipe(addr);
+    sent += 2 * per_phase + 2;
+    for key in ["requests", "rows_scored"] {
+        let (before, after) = (count(&first, key), count(&second, key));
+        assert!(
+            after > before && before > 0,
+            "{key} not monotone: {before} -> {after}"
+        );
+    }
+    assert_eq!(count(&first, "requests"), per_phase, "{first:?}");
+    assert_eq!(count(&second, "requests"), 2 * per_phase, "{second:?}");
+    assert_eq!(count(&second, "errors"), 0, "{second:?}");
+    let window = second.get("window_1k").unwrap();
+    assert!(count(window, "requests") > 0, "{window:?}");
+    let window_drift = window.get("drift").and_then(Value::as_array).unwrap();
+    assert!(!window_drift.is_empty(), "windowed drift must be tracked");
+    let decisions = second.get("decisions").unwrap();
     for rate in ["privileged_rate", "unprivileged_rate"] {
         let value = decisions.get(rate).and_then(Value::as_f64);
         assert!(
             value.is_some_and(|v| v > 0.0),
-            "{rate} must be nonzero: {metrics}"
+            "{rate} must be nonzero: {second:?}"
         );
     }
-    let drift = pipe.get("drift").and_then(Value::as_array).unwrap();
+    let drift = second.get("drift").and_then(Value::as_array).unwrap();
     assert!(
         !drift.is_empty(),
         "drift tracking must cover at least one column"
     );
+
+    // The same endpoint content-negotiates to Prometheus text: every
+    // sample is typed by an earlier `# TYPE` line and carries a numeric
+    // value.
+    let response = raw_exchange(
+        addr,
+        b"GET /metrics HTTP/1.1\r\nHost: test\r\nAccept: text/plain\r\nConnection: close\r\n\r\n",
+    );
+    sent += 1;
+    let (head, text) = response.split_once("\r\n\r\n").unwrap();
+    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+    let content_type = head
+        .lines()
+        .find_map(|l| {
+            let (name, value) = l.split_once(':')?;
+            name.eq_ignore_ascii_case("content-type")
+                .then(|| value.trim())
+        })
+        .unwrap_or_else(|| panic!("no Content-Type: {head}"));
+    assert!(content_type.starts_with("text/plain"), "{content_type}");
+    let mut families = std::collections::BTreeSet::new();
+    for line in text.lines() {
+        if let Some(typed) = line.strip_prefix("# TYPE ") {
+            families.insert(typed.split_whitespace().next().unwrap());
+        } else if !line.is_empty() && !line.starts_with('#') {
+            let (name, value) = line
+                .rsplit_once(' ')
+                .unwrap_or_else(|| panic!("sample without a value: {line}"));
+            let family = name.split('{').next().unwrap();
+            assert!(families.contains(family), "untyped sample: {line}");
+            assert!(value.parse::<f64>().is_ok(), "unparsable value: {line}");
+        }
+    }
+    for family in [
+        "fairprep_requests_total",
+        "fairprep_decisions_total",
+        "fairprep_latency_us",
+        "fairprep_drift_psi",
+    ] {
+        assert!(families.contains(family), "missing family {family}");
+    }
+    let requests_total: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("fairprep_requests_total{pipeline=\""))
+        .and_then(|sample| sample.rsplit_once(' '))
+        .and_then(|(_, value)| value.parse().ok())
+        .unwrap_or_else(|| panic!("no integer fairprep_requests_total sample: {text}"));
+    assert!(requests_total >= count(&second, "requests"), "{text}");
+
+    // Records land after their response is written; wait for the last
+    // one, then stop the server so the log is final.
+    let complete_lines = || std::fs::read_to_string(&log).unwrap().matches('\n').count() as u64;
+    for _ in 0..100 {
+        if complete_lines() >= sent {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
     drop(server);
-    std::fs::remove_dir_all(&registry).ok();
+
+    // Every request has exactly one well-formed record with a unique id
+    // and span timings that fit inside its total latency.
+    let text = std::fs::read_to_string(&log).unwrap();
+    let mut ids = std::collections::BTreeSet::new();
+    for line in text.lines() {
+        let record = parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(
+            record.get("event").and_then(Value::as_str),
+            Some("access"),
+            "{line}"
+        );
+        assert!(matches!(count(&record, "status"), 200 | 404), "{line}");
+        let spans: u64 = ["read_us", "handle_us", "write_us"]
+            .iter()
+            .map(|key| count(&record, key))
+            .sum();
+        assert!(
+            spans <= count(&record, "latency_us"),
+            "span timings exceed total: {line}"
+        );
+        assert!(ids.insert(count(&record, "id")), "duplicate id: {line}");
+    }
+    assert_eq!(ids.len() as u64, sent, "one record per request");
+    assert!(text.ends_with('\n'), "torn last record");
+    common::tail_once(&log);
+    std::fs::remove_dir_all(&dir).ok();
 }
