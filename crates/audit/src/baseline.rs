@@ -147,7 +147,6 @@ impl Baseline {
             if *n < 0.0 || n.fract() != 0.0 {
                 return Err(format!("entry `{key}` must be a non-negative integer"));
             }
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             entries.insert(key.clone(), *n as usize);
         }
         Ok(Baseline { entries })

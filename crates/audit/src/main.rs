@@ -4,6 +4,5 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    #[allow(clippy::cast_sign_loss)]
     ExitCode::from(fairprep_audit::run(&args) as u8)
 }

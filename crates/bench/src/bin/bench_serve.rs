@@ -42,7 +42,6 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    #[allow(clippy::cast_sign_loss, clippy::cast_precision_loss)]
     let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
     sorted[idx]
 }
@@ -78,7 +77,6 @@ fn run_level(
     });
     let wall_secs = started.elapsed().as_secs_f64();
     latencies.sort_unstable();
-    #[allow(clippy::cast_precision_loss)]
     let throughput_rps = latencies.len() as f64 / wall_secs.max(1e-9);
     Level {
         clients,

@@ -90,10 +90,8 @@ impl ScatterPlot {
         let mut grid = vec![vec![' '; self.width]; self.height];
         for (marker, points) in &self.series {
             for &(x, y) in points {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 let col = (((x - x_lo) / (x_hi - x_lo)).clamp(0.0, 1.0) * (self.width - 1) as f64)
                     .round() as usize;
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 let row = ((1.0 - ((y - y_lo) / (y_hi - y_lo)).clamp(0.0, 1.0))
                     * (self.height - 1) as f64)
                     .round() as usize;

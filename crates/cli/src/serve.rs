@@ -51,7 +51,8 @@ use fairprep_data::column::{Column, ColumnKind};
 use fairprep_data::frame::DataFrame;
 use fairprep_data::parallel::scoped_workers;
 use fairprep_data::profile::{
-    psi_against_fractions, smoothed_fractions, ColumnProfile, PSI_WARN_THRESHOLD, QUANTILE_POINTS,
+    psi_against_fractions, smoothed_fractions, ColumnProfile, DecileBins, PSI_WARN_THRESHOLD,
+    QUANTILE_POINTS,
 };
 use fairprep_data::schema::Role;
 use fairprep_trace::alert::{
@@ -121,9 +122,9 @@ fn saturating_decr(cell: &AtomicU64) {
 /// How one tracked column bins an observation.
 #[derive(Debug)]
 enum DriftBins {
-    /// Numeric column binned by the training profile's interior decile
-    /// edges (deduped by bit pattern, like the lifecycle profiler).
-    Numeric { edges: Vec<f64> },
+    /// Numeric column binned by the training profile's decile bins, the
+    /// same bins the lifecycle profiler's PSI uses.
+    Numeric(DecileBins),
     /// Categorical column binned by the training profile's top-k
     /// categories plus one "other/unseen" bin.
     Categorical { cats: Vec<String> },
@@ -155,27 +156,21 @@ impl DriftTrack {
             ColumnProfile::Numeric {
                 count, quantiles, ..
             } => {
-                let mut edges: Vec<f64> = quantiles
-                    .get(1..QUANTILE_POINTS.saturating_sub(1))
-                    .unwrap_or(&[])
-                    .to_vec();
-                edges.dedup_by(|a, b| a.to_bits() == b.to_bits());
-                if edges.is_empty() || *count == 0 {
+                if *count == 0 {
                     return None;
                 }
-                let mut base = vec![0u64; edges.len() + 1];
+                let bins = profile.decile_bins()?;
+                let max = quantiles.last()?;
+                let mut base = vec![0u64; bins.n_bins()];
                 // Each inter-decile segment of the training distribution
                 // holds one tenth of the observed mass; the remainder of
                 // the integer division lands in the top bin with the max.
                 let segments = (QUANTILE_POINTS - 1) as u64;
-                for seg in 0..QUANTILE_POINTS - 1 {
-                    let upper = quantiles[seg + 1];
-                    let bin = edges.iter().filter(|e| upper > **e).count();
-                    base[bin] += count / segments;
+                for upper in quantiles.iter().skip(1) {
+                    base[bins.bin(*upper)] += count / segments;
                 }
-                let top = edges.iter().filter(|e| quantiles[10] > **e).count();
-                base[top] += count % segments;
-                (DriftBins::Numeric { edges }, base)
+                base[bins.bin(*max)] += count % segments;
+                (DriftBins::Numeric(bins), base)
             }
             ColumnProfile::Categorical { count, top, .. } => {
                 if top.is_empty() || *count == 0 {
@@ -188,25 +183,16 @@ impl DriftTrack {
                 (DriftBins::Categorical { cats }, base)
             }
         };
-        let live = (0..base.len()).map(|_| AtomicU64::new(0)).collect();
-        Some(
-            DriftTrack {
-                name: name.to_string(),
-                bins: DriftBins::Numeric { edges: Vec::new() },
-                base_fracs: smoothed_fractions(&base),
-                window_live: std::array::from_fn(|_| {
-                    (0..base.len()).map(|_| AtomicU64::new(0)).collect()
-                }),
-                live,
-                rings: WINDOW_SPECS.map(|(_, _, cap)| RingWindow::new(cap)),
-            }
-            .with_bins(bins),
-        )
-    }
-
-    fn with_bins(mut self, bins: DriftBins) -> DriftTrack {
-        self.bins = bins;
-        self
+        Some(DriftTrack {
+            name: name.to_string(),
+            bins,
+            base_fracs: smoothed_fractions(&base),
+            live: (0..base.len()).map(|_| AtomicU64::new(0)).collect(),
+            rings: WINDOW_SPECS.map(|(_, _, cap)| RingWindow::new(cap)),
+            window_live: std::array::from_fn(|_| {
+                (0..base.len()).map(|_| AtomicU64::new(0)).collect()
+            }),
+        })
     }
 
     /// Records one observation's bin: a lifetime atomic bump plus one
@@ -252,12 +238,12 @@ impl DriftTrack {
     // audit: hot-path
     fn observe(&self, column: &Column) {
         match (&self.bins, column) {
-            (DriftBins::Numeric { edges }, Column::Numeric(vals)) => {
+            (DriftBins::Numeric(bins), Column::Numeric(vals)) => {
                 for x in vals.iter().flatten() {
                     if x.is_nan() {
                         continue;
                     }
-                    self.hit(edges.iter().filter(|e| *x > **e).count());
+                    self.hit(bins.bin(*x));
                 }
             }
             (DriftBins::Categorical { cats }, Column::Categorical(data)) => {
@@ -414,13 +400,11 @@ impl WindowRings {
         if count == 0 {
             return None;
         }
-        #[allow(clippy::cast_sign_loss, clippy::cast_precision_loss)]
         let target = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0u64;
         for (i, bucket) in self.latency_buckets.iter().enumerate() {
             seen += bucket.load(Ordering::Relaxed);
             if seen >= target {
-                #[allow(clippy::cast_precision_loss)]
                 return Some((2u64 << i) as f64);
             }
         }
@@ -435,7 +419,6 @@ impl WindowRings {
         if filled == 0 {
             return None;
         }
-        #[allow(clippy::cast_precision_loss)]
         Some(numerator.load(Ordering::Relaxed) as f64 / filled as f64)
     }
 }
@@ -638,7 +621,6 @@ struct AlertSnapshot {
 }
 
 /// Favorable rate of one group, `None` when the group was never seen.
-#[allow(clippy::cast_precision_loss)]
 // audit: hot-path
 fn rate_of(favorable: u64, unfavorable: u64) -> Option<f64> {
     let total = favorable + unfavorable;
@@ -650,7 +632,6 @@ fn rate_of(favorable: u64, unfavorable: u64) -> Option<f64> {
 }
 
 /// Disparate impact of a 2×2 decision table (`None` when undefined).
-#[allow(clippy::cast_precision_loss)]
 // audit: hot-path
 fn disparate_impact_of(decisions: &[u64; 4]) -> Option<f64> {
     let ut = decisions[0] + decisions[1];
@@ -742,7 +723,6 @@ impl PipeSnapshot {
                 ),
             ];
             if self.canary_armed {
-                #[allow(clippy::cast_precision_loss)]
                 let rate = (window.canary_sampled > 0)
                     .then(|| window.canary_divergent as f64 / window.canary_sampled as f64);
                 window_members.push((
@@ -1070,7 +1050,6 @@ fn render_prometheus(snapshots: &[(&str, PipeSnapshot)]) -> String {
                 if window.canary_sampled == 0 {
                     continue;
                 }
-                #[allow(clippy::cast_precision_loss)]
                 exp.sample_f64(
                     "fairprep_canary_divergence",
                     &[("pipeline", fp), ("window", label)],
@@ -1453,7 +1432,6 @@ impl Registry {
                 "--canary-sample must be in (0, 1], got {sample_rate}"
             ));
         }
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
         let sample_every = (1.0 / sample_rate).round().max(1.0) as u64;
         self.canary = Some(CanaryConfig {
             key,
@@ -1782,7 +1760,6 @@ impl AccessLog {
         }
         let file = std::fs::File::create(path)
             .map_err(|e| format!("cannot create access log {}: {e}", path.display()))?;
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
         let sample_every = (1.0 / sample_rate).round().max(1.0) as u64;
         Ok(AccessLog {
             out: Mutex::new(std::io::BufWriter::new(file)),

@@ -120,6 +120,50 @@ fn malformed_bodies_are_400_and_counted() {
     server.stop();
 }
 
+/// The member `key` of a JSON object, for editing an artifact in place.
+fn member_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Obj(members) = v else {
+        panic!("not an object at {key:?}");
+    };
+    &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1
+}
+
+/// A sealed artifact is untrusted input: one whose numeric training
+/// profile lost a quantile must be refused at load with a typed error,
+/// and a registry holding it must fail to open instead of panicking
+/// while it sizes the column's drift bins.
+#[test]
+fn truncated_profile_quantiles_are_refused_at_load() {
+    let (sealed, _) = german();
+    let dir = scratch_dir("truncated");
+    let path = sealed.save(&dir).unwrap();
+    let mut artifact = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let Value::Arr(columns) = member_mut(member_mut(&mut artifact, "train_profile"), "columns")
+    else {
+        panic!("profile columns are not an array");
+    };
+    let numeric = columns
+        .iter_mut()
+        .map(|column| member_mut(column, "profile"))
+        .find(|profile| profile.get("kind").and_then(Value::as_str) == Some("numeric"))
+        .unwrap();
+    let Value::Arr(quantiles) = member_mut(numeric, "quantiles") else {
+        panic!("quantiles are not an array");
+    };
+    quantiles.pop().unwrap();
+    std::fs::write(&path, artifact.to_json()).unwrap();
+
+    let loaded = fairprep_core::seal::SealedPipeline::load(&path);
+    let opened = std::panic::catch_unwind(|| Registry::open(&dir));
+    std::fs::remove_dir_all(&dir).ok();
+    let err = loaded
+        .err()
+        .expect("a truncated quantile summary must not load");
+    assert!(err.to_string().contains("quantiles"), "{err}");
+    let opened = opened.expect("Registry::open must not panic");
+    assert!(opened.is_err(), "a registry with a damaged artifact opened");
+}
+
 /// Sends `request` verbatim on a fresh connection and returns every byte
 /// the server answers before it closes. A server that refuses a request
 /// it has not read to the end may reset the connection after its

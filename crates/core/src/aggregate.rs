@@ -196,104 +196,3 @@ mod tests {
         assert_eq!(agg.group_size("custom"), 2);
     }
 }
-
-/// Runs the same experiment configuration across many seeds (fresh
-/// train/validation/test resplits) and collects the metric distributions —
-/// the §2.2 recommendation to quantify outcome variability instead of
-/// reporting single numbers.
-///
-/// `build` constructs the experiment for a given seed (experiments are
-/// consumed by `run`, so one must be built per seed).
-pub fn repeated_evaluation(
-    build: impl Fn(u64) -> fairprep_data::error::Result<crate::experiment::Experiment> + Send + Sync,
-    seeds: &[u64],
-    threads: usize,
-) -> Vec<fairprep_data::error::Result<RunResult>> {
-    repeated_evaluation_traced(build, seeds, threads, &fairprep_trace::Tracer::disabled())
-}
-
-/// Like [`repeated_evaluation`], additionally recording each per-seed
-/// failure (`"job <index>: <error>"`) and the `jobs_failed` counter on
-/// `tracer`. Only failures and counters are traced — concurrent runs
-/// would interleave their span events, so no spans are opened here.
-pub fn repeated_evaluation_traced(
-    build: impl Fn(u64) -> fairprep_data::error::Result<crate::experiment::Experiment> + Send + Sync,
-    seeds: &[u64],
-    threads: usize,
-    tracer: &fairprep_trace::Tracer,
-) -> Vec<fairprep_data::error::Result<RunResult>> {
-    let jobs: Vec<crate::runner::Job> = seeds
-        .iter()
-        .map(|&seed| {
-            let exp = build(seed);
-            Box::new(move || exp?.run()) as crate::runner::Job
-        })
-        .collect();
-    crate::runner::run_parallel_traced(jobs, threads, tracer)
-}
-
-/// Summarizes one test metric across the successful runs of a repeated
-/// evaluation.
-#[must_use]
-pub fn metric_across_runs(
-    results: &[fairprep_data::error::Result<RunResult>],
-    metric: &str,
-) -> MetricDistribution {
-    let values: Vec<f64> = results
-        .iter()
-        .filter_map(|r| r.as_ref().ok())
-        .map(|r| r.test_metrics().get(metric).copied().unwrap_or(f64::NAN))
-        .collect();
-    MetricDistribution::from_values(&values)
-}
-
-#[cfg(test)]
-mod repeated_tests {
-    use super::*;
-    use crate::experiment::Experiment;
-    use crate::learners::DecisionTreeLearner;
-    use fairprep_datasets::generate_german;
-
-    #[test]
-    fn repeated_evaluation_quantifies_variability() {
-        let results = repeated_evaluation(
-            |seed| {
-                Experiment::builder("german", generate_german(200, 3)?)
-                    .seed(seed)
-                    .learner(DecisionTreeLearner { tuned: false })
-                    .build()
-            },
-            &[1, 2, 3, 4, 5],
-            3,
-        );
-        assert_eq!(results.len(), 5);
-        assert!(results.iter().all(std::result::Result::is_ok));
-        let acc = metric_across_runs(&results, "overall_accuracy");
-        assert_eq!(acc.n, 5);
-        assert!(acc.std > 0.0, "resplits must produce variability");
-        assert!(acc.min >= 0.0 && acc.max <= 1.0);
-    }
-
-    #[test]
-    fn build_failures_are_reported_per_seed() {
-        let results = repeated_evaluation(
-            |seed| {
-                if seed == 2 {
-                    Err(fairprep_data::error::Error::EmptyData("boom".to_string()))
-                } else {
-                    Ok(Experiment::builder("german", generate_german(150, 1)?)
-                        .seed(seed)
-                        .learner(DecisionTreeLearner { tuned: false })
-                        .build()?)
-                }
-            },
-            &[1, 2, 3],
-            2,
-        );
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
-        // The aggregate simply skips the failed run.
-        assert_eq!(metric_across_runs(&results, "overall_accuracy").n, 2);
-    }
-}

@@ -62,10 +62,7 @@ pub mod sweep;
 
 /// Convenient glob-import of the most used types.
 pub mod prelude {
-    pub use crate::aggregate::{
-        metric_across_runs, repeated_evaluation, repeated_evaluation_traced, MetricDistribution,
-        SweepAggregator,
-    };
+    pub use crate::aggregate::{MetricDistribution, SweepAggregator};
     pub use crate::experiment::{
         AccuracyUnderDiBound, Experiment, ExperimentBuilder, MaxValidationAccuracy, ModelSelector,
     };

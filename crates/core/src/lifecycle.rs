@@ -644,7 +644,11 @@ mod tests {
         let result = make();
         let manifest = result.manifest.as_ref().unwrap();
         let profile = manifest.profile.as_ref().unwrap();
-        let stages: Vec<&str> = profile.snapshots.iter().map(|s| s.stage.as_str()).collect();
+        let stages: Vec<&str> = profile
+            .snapshots
+            .iter()
+            .map(|(stage, _)| stage.as_str())
+            .collect();
         assert_eq!(
             stages,
             vec!["raw", "train_split", "train_imputed", "train_preprocessed"]

@@ -22,7 +22,9 @@ use fairprep_data::column::ColumnKind;
 use fairprep_data::dataset::BinaryLabelDataset;
 use fairprep_data::error::{Error, Result};
 use fairprep_data::frame::DataFrame;
-use fairprep_data::profile::{ColumnProfile, DatasetProfile, GroupLabelTable};
+use fairprep_data::profile::{
+    ColumnProfile, DatasetProfile, GroupLabelTable, QUANTILE_POINTS, TOP_K,
+};
 use fairprep_data::schema::{GroupSpec, ProtectedAttribute, Role, Schema};
 use fairprep_fairness::postprocess::FittedPostprocessor;
 use fairprep_fairness::preprocess::FittedPreprocessor;
@@ -482,20 +484,42 @@ fn seal_column_profile(p: &ColumnProfile) -> Value {
     }
 }
 
+/// Reads one column profile, rejecting shapes the profiler never writes:
+/// the scoring service sizes its drift bins from them.
 fn unseal_column_profile(v: &Value) -> Result<ColumnProfile> {
     match sealing::kind_of(v)? {
-        "numeric" => Ok(ColumnProfile::Numeric {
-            count: sealing::req_u64(v, "count")?,
-            missing: sealing::req_u64(v, "missing")?,
-            mean: sealing::req_f64(v, "mean")?,
-            std_dev: sealing::req_f64(v, "std_dev")?,
-            min: sealing::req_f64(v, "min")?,
-            max: sealing::req_f64(v, "max")?,
-            quantiles: sealing::req_f64_vec(v, "quantiles")?,
-        }),
+        "numeric" => {
+            let count = sealing::req_u64(v, "count")?;
+            let quantiles = sealing::req_f64_vec(v, "quantiles")?;
+            // The profiler writes no quantiles for a column without
+            // observed values and the full summary otherwise.
+            let expected = if count == 0 { 0 } else { QUANTILE_POINTS };
+            if quantiles.len() != expected {
+                return Err(sealing::seal_err(format!(
+                    "numeric column profile with {count} values has {} quantiles, expected {expected}",
+                    quantiles.len()
+                )));
+            }
+            Ok(ColumnProfile::Numeric {
+                count,
+                missing: sealing::req_u64(v, "missing")?,
+                mean: sealing::req_f64(v, "mean")?,
+                std_dev: sealing::req_f64(v, "std_dev")?,
+                min: sealing::req_f64(v, "min")?,
+                max: sealing::req_f64(v, "max")?,
+                quantiles,
+            })
+        }
         "categorical" => {
+            let entries = sealing::req_arr(v, "top")?;
+            if entries.len() > TOP_K {
+                return Err(sealing::seal_err(format!(
+                    "categorical column profile lists {} top categories, at most {TOP_K} allowed",
+                    entries.len()
+                )));
+            }
             let mut top = Vec::new();
-            for entry in sealing::req_arr(v, "top")? {
+            for entry in entries {
                 top.push((
                     sealing::req_str(entry, "value")?.to_string(),
                     sealing::req_u64(entry, "count")?,
@@ -662,6 +686,46 @@ mod tests {
         assert!(matches!(unseal_protected(&bad_spec), Err(Error::Seal(_))));
         let bad_profile = obj(vec![("rows", Value::from_u64(3))]);
         assert!(matches!(unseal_profile(&bad_profile), Err(Error::Seal(_))));
+        // An all-missing numeric column has no quantiles and still loads.
+        let all_missing = ColumnProfile::Numeric {
+            count: 0,
+            missing: 3,
+            mean: f64::NAN,
+            std_dev: f64::NAN,
+            min: f64::NAN,
+            max: f64::NAN,
+            quantiles: Vec::new(),
+        };
+        assert!(unseal_column_profile(&seal_column_profile(&all_missing)).is_ok());
+        // Shapes the profiler never writes: a quantile summary of the wrong
+        // length, and more than `TOP_K` top categories.
+        for quantiles in [vec![1.0; QUANTILE_POINTS - 1], vec![], vec![1.0; 12]] {
+            let numeric = ColumnProfile::Numeric {
+                count: 4,
+                missing: 0,
+                mean: 1.0,
+                std_dev: 0.0,
+                min: 1.0,
+                max: 1.0,
+                quantiles,
+            };
+            let sealed = seal_column_profile(&numeric);
+            assert!(matches!(
+                unseal_column_profile(&sealed),
+                Err(Error::Seal(_))
+            ));
+        }
+        let categorical = ColumnProfile::Categorical {
+            count: 6,
+            missing: 0,
+            cardinality: 6,
+            top: (0..=TOP_K).map(|i| (format!("c{i}"), 1)).collect(),
+        };
+        let sealed = seal_column_profile(&categorical);
+        assert!(matches!(
+            unseal_column_profile(&sealed),
+            Err(Error::Seal(_))
+        ));
     }
 
     #[test]

@@ -236,9 +236,8 @@ pub fn count_completed(outcomes: &[SeedOutcome]) -> usize {
     outcomes.iter().filter(|o| o.ok).count()
 }
 
-/// Summarizes one test metric across the completed outcomes of a sweep
-/// (the [`metric_across_runs`](crate::aggregate::metric_across_runs)
-/// analogue for journaled sweeps).
+/// Summarizes one test metric across the completed outcomes of a sweep;
+/// failed seeds are skipped.
 #[must_use]
 pub fn metric_across_outcomes(outcomes: &[SeedOutcome], metric: &str) -> MetricDistribution {
     let values: Vec<f64> = outcomes
@@ -291,6 +290,46 @@ mod tests {
         let acc = metric_across_outcomes(&outcomes, "overall_accuracy");
         assert_eq!(acc.n, 4);
         assert!(acc.min >= 0.0 && acc.max <= 1.0);
+    }
+
+    #[test]
+    fn seed_sweep_quantifies_variability() {
+        let build_200_rows = |seed| {
+            Experiment::builder("german", generate_german(200, 3)?)
+                .seed(seed)
+                .learner(DecisionTreeLearner { tuned: false })
+                .build()
+        };
+        let seeds = [1u64, 2, 3, 4, 5];
+        let mut p = plan(&seeds, None);
+        p.threads = 3;
+        let outcomes = run_sweep(build_200_rows, &p, &Tracer::disabled()).unwrap();
+        assert_eq!(count_completed(&outcomes), 5);
+        let acc = metric_across_outcomes(&outcomes, "overall_accuracy");
+        assert_eq!(acc.n, 5);
+        assert!(acc.std > 0.0, "resplits must produce variability");
+        assert!(acc.min >= 0.0 && acc.max <= 1.0);
+    }
+
+    #[test]
+    fn build_failures_are_reported_per_seed() {
+        let failing_build = |seed| {
+            if seed == 2 {
+                Err(Error::EmptyData("boom".to_string()))
+            } else {
+                build(seed)
+            }
+        };
+        let seeds = [1u64, 2, 3];
+        let tracer = Tracer::enabled();
+        let outcomes = run_sweep(failing_build, &plan(&seeds, None), &tracer).unwrap();
+        assert!(outcomes[0].ok);
+        assert!(!outcomes[1].ok);
+        assert!(outcomes[1].error.contains("boom"), "{}", outcomes[1].error);
+        assert!(outcomes[2].ok);
+        assert_eq!(tracer.counter(Counter::JobsFailed), 1);
+        // The aggregate simply skips the failed run.
+        assert_eq!(metric_across_outcomes(&outcomes, "overall_accuracy").n, 2);
     }
 
     #[test]

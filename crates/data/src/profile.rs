@@ -110,6 +110,50 @@ impl ColumnProfile {
             self.missing() as f64 / total as f64
         }
     }
+
+    /// The decile bins this profile fixes for PSI: `None` unless it is a
+    /// numeric profile with a full [`QUANTILE_POINTS`] quantile summary.
+    #[must_use]
+    pub fn decile_bins(&self) -> Option<DecileBins> {
+        let ColumnProfile::Numeric { quantiles, .. } = self else {
+            return None;
+        };
+        if quantiles.len() != QUANTILE_POINTS {
+            return None;
+        }
+        // Deduped by bit pattern so a constant column yields a single
+        // edge and its values a single bin.
+        let mut edges = quantiles.get(1..QUANTILE_POINTS - 1)?.to_vec();
+        edges.dedup_by(|a, b| a.to_bits() == b.to_bits());
+        Some(DecileBins { edges })
+    }
+}
+
+/// Decile bins of a numeric column, fixed by a baseline profile (see
+/// [`ColumnProfile::decile_bins`]). The edges are the baseline's interior
+/// quantiles; a value's bin is the number of edges strictly below it. The
+/// lifecycle's stage-to-stage PSI and a scoring service's live drift both
+/// bin through this type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DecileBins {
+    edges: Vec<f64>,
+}
+
+impl DecileBins {
+    /// Number of bins: one more than the number of distinct edges.
+    #[must_use]
+    pub fn n_bins(&self) -> usize {
+        self.edges.len() + 1
+    }
+
+    /// The bin of `x`: the number of edges strictly below it (`NaN` lands
+    /// in bin 0).
+    // audit: hot-path
+    #[inline]
+    #[must_use]
+    pub fn bin(&self, x: f64) -> usize {
+        self.edges.iter().filter(|e| x > **e).count()
+    }
 }
 
 /// Protected-group × label contingency table of a snapshot.
@@ -653,30 +697,17 @@ fn column_psi(
         return 0.0;
     };
     match (base_profile, base_col, cur_col) {
-        (
-            ColumnProfile::Numeric { quantiles, .. },
-            Column::Numeric(base_vals),
-            Column::Numeric(cur_vals),
-        ) => {
-            // Interior decile edges from the baseline quantiles, deduped by
-            // bit pattern so a constant column yields a single bin (PSI 0).
-            let mut edges: Vec<f64> = quantiles
-                .get(1..QUANTILE_POINTS.saturating_sub(1))
-                .unwrap_or(&[])
-                .to_vec();
-            edges.dedup_by(|a, b| a.to_bits() == b.to_bits());
-            if edges.is_empty() {
+        (ColumnProfile::Numeric { .. }, Column::Numeric(base_vals), Column::Numeric(cur_vals)) => {
+            let Some(bins) = base_profile.decile_bins() else {
                 return 0.0;
-            }
-            let bins = edges.len() + 1;
-            let bin_of = |x: f64| edges.iter().filter(|e| x > **e).count();
-            let mut base_counts = vec![0u64; bins];
+            };
+            let mut base_counts = vec![0u64; bins.n_bins()];
             for x in base_vals.iter().flatten() {
-                base_counts[bin_of(*x)] += 1;
+                base_counts[bins.bin(*x)] += 1;
             }
-            let mut cur_counts = vec![0u64; bins];
+            let mut cur_counts = vec![0u64; bins.n_bins()];
             for x in cur_vals.iter().flatten() {
-                cur_counts[bin_of(*x)] += 1;
+                cur_counts[bins.bin(*x)] += 1;
             }
             psi_from_counts(&base_counts, &cur_counts)
         }
@@ -1018,6 +1049,30 @@ mod tests {
             .warnings("a", "b")
             .iter()
             .any(|w| w.contains("missingness")));
+    }
+
+    #[test]
+    fn max_psi_ties_break_to_lexicographically_smaller_name() {
+        let drift = DatasetDrift {
+            row_delta: 0,
+            privileged_share_delta: 0.0,
+            base_rate_delta: 0.0,
+            privileged_base_rate_delta: 0.0,
+            unprivileged_base_rate_delta: 0.0,
+            columns: vec![
+                ColumnDrift {
+                    name: "zeta".to_string(),
+                    missing_delta: 0.0,
+                    psi: 0.3,
+                },
+                ColumnDrift {
+                    name: "alpha".to_string(),
+                    missing_delta: 0.0,
+                    psi: 0.3,
+                },
+            ],
+        };
+        assert_eq!(drift.max_psi().unwrap().name, "alpha");
     }
 
     #[test]

@@ -44,7 +44,6 @@ impl Arbitrary for u64 {
 macro_rules! impl_arbitrary_via_u64 {
     ($($t:ty),* $(,)?) => {$(
         impl Arbitrary for $t {
-            #[allow(clippy::cast_possible_truncation)]
             fn generate(rng: &mut StdRng) -> Self {
                 rng.random::<u64>() as $t
             }

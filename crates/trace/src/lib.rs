@@ -35,10 +35,7 @@ pub mod telemetry;
 
 pub use fault::{FaultArm, FaultKind, FaultPlan, INJECTED_PANIC, INJECTED_TRANSIENT};
 pub use manifest::{ManifestConfig, RunManifest, SpanNode};
-pub use profile::{
-    ColumnDriftRecord, ColumnProfileRecord, DataProfile, FeatureSpaceRecord, GroupLabelRecord,
-    PredictionRecord, ProfileDiffRecord, SnapshotRecord,
-};
+pub use profile::{DataProfile, FeatureSpaceRecord, PredictionRecord};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
